@@ -277,8 +277,7 @@ impl FatihSystem {
         }
         // Alert dissemination: the raiser signs and unicasts the suspected
         // segment to every other router over the reliable transport
-        // (§5.3.1's alert channel; robust flooding is the heavyweight
-        // alternative, see `flooding`).
+        // (§5.3.1's alert channel).
         let ids: Vec<RouterId> = net.topology().routers().collect();
         for s in &newly {
             let payload = encode_alert(&self.keystore, s.raised_by, &s.segment);

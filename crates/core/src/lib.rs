@@ -38,7 +38,6 @@
 //! * [`transport`] — reliable control-plane delivery: per-message
 //!   ack/retransmission with exponential backoff, bounded retries and
 //!   duplicate suppression over the lossy simulated network;
-//! * [`flooding`] — robust flooding for alert dissemination (§3.7);
 //! * [`perlman`] — Byzantine-robust multipath forwarding under
 //!   `TotalFault(f)` (§3.7).
 //!
@@ -79,10 +78,8 @@
 #![warn(missing_docs)]
 
 pub mod chi;
-pub mod chi_deployment;
 pub mod consensus;
 pub mod fatih_system;
-pub mod flooding;
 pub mod herzberg;
 pub mod monitor;
 pub mod perlman;
@@ -99,9 +96,7 @@ pub mod wire;
 pub mod zhang;
 
 pub use chi::{ChiConfig, ChiVerdict, QueueModel, QueueValidator};
-pub use chi_deployment::ChiDeployment;
 pub use fatih_system::{FatihConfig, FatihEvent, FatihSystem};
-pub use flooding::{FloodBehavior, FloodError, FloodOutcome, NetworkFloodOutcome};
 pub use pi2::{Pi2Config, Pi2Detector};
 pub use pik2::{Pik2Config, Pik2Detector};
 pub use policy::{Policy, ReportFault, Thresholds};

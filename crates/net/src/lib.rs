@@ -22,8 +22,6 @@
 //! * [`reliable`] — per-message ack/retransmission with capped exponential
 //!   backoff and duplicate suppression, the live twin of
 //!   `fatih_core::transport::ReliableTransport`;
-//! * [`mailbox`] — lock-free cross-shard frame queues that let co-resident
-//!   routers bypass the kernel when the fastpath is enabled;
 //! * [`runtime`] — the sharded live runtime: a small pool of worker
 //!   threads, each multiplexing a shard of router event loops over
 //!   non-blocking transports with one shared timer wheel per shard, plus
@@ -61,7 +59,6 @@
 
 pub mod codec;
 pub mod linkstate;
-pub mod mailbox;
 pub mod reliable;
 pub mod runtime;
 pub mod timer;

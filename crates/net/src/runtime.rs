@@ -3,13 +3,11 @@
 //! Routers no longer get one OS thread each: a small pool of **shard
 //! workers** (default `available_parallelism − 1`) each owns a shard of
 //! router event loops and multiplexes them over non-blocking transport
-//! receives, one shared [`TimerWheel`] per shard, and a lock-free
-//! cross-shard [`mailbox`](crate::mailbox) for the optional in-process
-//! frame fastpath. Round boundaries, evaluation deadlines and the
-//! retransmission pump are *batched per shard* — one timer fires and every
-//! router in the shard does its round work — so a Rocketfuel-scale
-//! deployment (hundreds of routers) costs hundreds of event loops but only
-//! a handful of threads and timer streams.
+//! receives and one shared [`TimerWheel`] per shard. Round boundaries,
+//! evaluation deadlines and the retransmission pump are *batched per
+//! shard* — one timer fires and every router in the shard does its round
+//! work — so a Rocketfuel-scale deployment (hundreds of routers) costs
+//! hundreds of event loops but only a handful of threads and timer streams.
 //!
 //! The protocol machinery is the simulator's own — [`SegmentMonitorSet`]
 //! builds `info(r, π, τ)` from the router's real forwarding decisions,
@@ -37,7 +35,6 @@
 
 use crate::codec::{decode_frame, encode_frame, sign_alert, verify_alert, Frame, WireMessage};
 use crate::linkstate::{sign_link_state, verify_link_state, LinkStateUpdate, TopoUpdate};
-use crate::mailbox::{mailboxes, MailboxRouter, ShardMailbox};
 use crate::reliable::{ReliableConfig, ReliableLayer};
 use crate::timer::TimerWheel;
 use crate::transport::Transport;
@@ -200,10 +197,6 @@ pub struct LiveConfig {
     pub shards: usize,
     /// Summary-exchange mode (full transfer vs reconciliation).
     pub summary: SummaryMode,
-    /// Route frames between co-resident routers through the lock-free
-    /// cross-shard mailbox instead of the transport. Off by default so
-    /// the wire-byte accounting reflects real transport traffic.
-    pub mailbox_fastpath: bool,
     /// Capacity of each shard's trace ring ([`TraceBuffer`]): oldest
     /// events are overwritten beyond this, but per-kind totals survive.
     pub trace_capacity: usize,
@@ -235,7 +228,6 @@ impl Default for LiveConfig {
             key_seed: 0xFA714,
             shards: 0,
             summary: SummaryMode::Full,
-            mailbox_fastpath: false,
             trace_capacity: 32_768,
             response: true,
             probation_rounds: 2,
@@ -333,30 +325,21 @@ pub enum LiveEvent {
 /// Aggregate counters across all routers of a run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LiveStats {
-    /// Frames handed to transports (or the mailbox fastpath).
+    /// Frames handed to transports.
     pub frames_sent: u64,
-    /// Frames received (before decoding).
-    pub frames_received: u64,
     /// Data packets delivered to their destination router.
     pub data_delivered: u64,
     /// Data packets silently dropped by compromised routers.
     pub data_dropped: u64,
     /// Control-frame retransmissions.
     pub retransmits: u64,
-    /// Frames rejected by the codec (bad MAC, garbage, truncation).
-    pub decode_failures: u64,
-    /// Frames that could not be encoded (oversize).
-    pub encode_failures: u64,
     /// Encoded bytes of first-transmission data frames.
     pub data_bytes_sent: u64,
     /// Encoded bytes of control frames (summaries, digests, pulls, acks,
     /// alerts, accusations), including retransmissions.
     pub control_bytes_sent: u64,
-    /// Bytes the transports actually put on the wire (excludes the
-    /// mailbox fastpath).
+    /// Bytes the transports actually put on the wire.
     pub wire_bytes_sent: u64,
-    /// Bytes the transports actually received off the wire.
-    pub wire_bytes_recv: u64,
     /// Reconciliation-mode digest exchanges decoded without a full
     /// transfer.
     pub digests_resolved: u64,
@@ -372,17 +355,13 @@ impl LiveStats {
     pub fn from_snapshot(snap: &MetricsSnapshot) -> Self {
         Self {
             frames_sent: snap.counter("net.frames_sent"),
-            frames_received: snap.counter("net.frames_received"),
             data_delivered: snap.counter("net.data_delivered"),
             data_dropped: snap.counter("net.data_dropped"),
             retransmits: snap.counter("net.retransmits"),
-            decode_failures: snap.counter("net.decode_failures"),
-            encode_failures: snap.counter("net.encode_failures"),
             data_bytes_sent: snap.counter("net.data_bytes_sent"),
             control_bytes_sent: snap.counter("net.control_bytes_sent")
                 + snap.counter("net.retransmit_bytes"),
             wire_bytes_sent: snap.counter("net.wire_bytes_sent"),
-            wire_bytes_recv: snap.counter("net.wire_bytes_recv"),
             digests_resolved: snap.counter("net.digests_resolved"),
             digest_fallbacks: snap.counter("net.digest_fallbacks"),
         }
@@ -411,7 +390,6 @@ struct NetMetrics {
     accusations_raised: Counter,
     alerts_sent: Counter,
     summary_timeouts: Counter,
-    mailbox_frames: Counter,
     epoch_transitions: Counter,
     ls_updates_sent: Counter,
     ls_updates_applied: Counter,
@@ -446,7 +424,6 @@ impl NetMetrics {
             accusations_raised: reg.counter("net.accusations_raised"),
             alerts_sent: reg.counter("net.alerts_sent"),
             summary_timeouts: reg.counter("net.summary_timeouts"),
-            mailbox_frames: reg.counter("net.mailbox_frames"),
             epoch_transitions: reg.counter("net.epoch_transitions"),
             ls_updates_sent: reg.counter("net.ls_updates_sent"),
             ls_updates_applied: reg.counter("net.ls_updates_applied"),
@@ -612,20 +589,6 @@ impl LiveDeployment {
         }
         .clamp(1, ids.len().max(1));
 
-        let shard_of: HashMap<RouterId, usize> = ids
-            .iter()
-            .enumerate()
-            .map(|(i, &id)| (id, i % n_shards))
-            .collect();
-        let (mail_router, mut mail_rx): (Option<MailboxRouter>, Vec<Option<ShardMailbox>>) =
-            if cfg.mailbox_fastpath {
-                let (mut r, boxes) = mailboxes(shard_of.clone(), n_shards);
-                r.attach_counters(metrics.mailbox_frames.clone());
-                (Some(r), boxes.into_iter().map(Some).collect())
-            } else {
-                (None, (0..n_shards).map(|_| None).collect())
-            };
-
         // Build every node *before* fixing the epoch: monitor construction
         // for hundreds of routers must not eat into round 0.
         let mut shard_nodes: Vec<Vec<Node<T>>> = (0..n_shards).map(|_| Vec::new()).collect();
@@ -643,7 +606,6 @@ impl LiveDeployment {
                 dyn0.clone(),
                 paths0.clone(),
                 &monitor_pairs,
-                mail_router.clone(),
                 metrics.clone(),
             );
             shard_nodes[i % n_shards].push(node);
@@ -655,7 +617,7 @@ impl LiveDeployment {
 
         let mut handles = Vec::with_capacity(n_shards);
         for (s, nodes) in shard_nodes.into_iter().enumerate() {
-            let shard = Shard::new(s as u32, nodes, *cfg, epoch, mail_rx[s].take());
+            let shard = Shard::new(s as u32, nodes, *cfg, epoch);
             let flag = Arc::clone(&shutdown);
             let tx = event_tx.clone();
             handles.push(
@@ -752,9 +714,7 @@ const RECV_SWEEP: usize = 64;
 /// One worker thread's shard of router event loops.
 struct Shard<T: Transport> {
     nodes: Vec<Node<T>>,
-    index_of: HashMap<RouterId, usize>,
     wheel: TimerWheel<ShardTimer>,
-    mailbox: Option<ShardMailbox>,
     cfg: LiveConfig,
     epoch: Instant,
     /// This worker's trace ring: written only by this thread, handed
@@ -763,22 +723,13 @@ struct Shard<T: Transport> {
 }
 
 impl<T: Transport> Shard<T> {
-    fn new(
-        shard: u32,
-        mut nodes: Vec<Node<T>>,
-        cfg: LiveConfig,
-        epoch: Instant,
-        mailbox: Option<ShardMailbox>,
-    ) -> Self {
+    fn new(shard: u32, mut nodes: Vec<Node<T>>, cfg: LiveConfig, epoch: Instant) -> Self {
         for node in &mut nodes {
             node.epoch = epoch;
         }
-        let index_of = nodes.iter().enumerate().map(|(i, n)| (n.id, i)).collect();
         Self {
             nodes,
-            index_of,
             wheel: TimerWheel::new(),
-            mailbox,
             cfg,
             epoch,
             trace: TraceBuffer::new(shard, cfg.trace_capacity),
@@ -873,14 +824,6 @@ impl<T: Transport> Shard<T> {
             }
 
             let mut handled = 0usize;
-            if let Some(envelopes) = self.mailbox.as_mut().map(|mb| mb.drain(512)) {
-                for env in envelopes {
-                    if let Some(&ni) = self.index_of.get(&env.dst) {
-                        self.nodes[ni].handle_frame(&env.bytes, events, &mut self.trace);
-                        handled += 1;
-                    }
-                }
-            }
             for ni in 0..self.nodes.len() {
                 if !self.nodes[ni].open {
                     continue;
@@ -988,7 +931,6 @@ struct Node<T: Transport> {
     rng: StdRng,
     digest_rng: StdRng,
     reliable: ReliableLayer,
-    mailbox: Option<MailboxRouter>,
     peer_summaries: HashMap<(u64, usize), fatih_core::monitor::Report>,
     /// Verdicts already decoded from digest exchanges: (round, segment) →
     /// (lost, fabricated), certified equal to the full-summary result.
@@ -1045,7 +987,6 @@ impl<T: Transport> Node<T> {
         dyn_topo: DynamicTopology,
         paths: HashMap<(RouterId, RouterId), Path>,
         monitor_pairs: &[(RouterId, RouterId)],
-        mailbox: Option<MailboxRouter>,
         metrics: NetMetrics,
     ) -> Self {
         let monitors =
@@ -1095,7 +1036,6 @@ impl<T: Transport> Node<T> {
                 cfg.key_seed ^ 0xD16E57 ^ (u64::from(u32::from(id)) << 16),
             ),
             reliable,
-            mailbox,
             peer_summaries: HashMap::new(),
             peer_verdicts: HashMap::new(),
             metrics,
@@ -1592,13 +1532,7 @@ impl<T: Transport> Node<T> {
                 } else {
                     self.metrics.control_bytes_sent.add(bytes.len() as u64);
                 }
-                let via_mailbox = self
-                    .mailbox
-                    .as_ref()
-                    .is_some_and(|m| m.deliver(dst, bytes.clone()));
-                if !via_mailbox {
-                    let _ = self.transport.send(dst, &bytes);
-                }
+                let _ = self.transport.send(dst, &bytes);
                 if reliable {
                     self.reliable.track(seq, dst, bytes, self.now_ns());
                 }
@@ -2399,40 +2333,6 @@ mod tests {
         assert!(
             outcome.stats.digests_resolved + outcome.stats.digest_fallbacks > 0,
             "digest path never exercised"
-        );
-    }
-
-    /// With the mailbox fastpath on, co-resident routers bypass the
-    /// transport entirely: the run still validates cleanly and the wire
-    /// counters show (almost) nothing crossed a transport.
-    #[test]
-    fn mailbox_fastpath_bypasses_the_wire() {
-        let topo = builtin::line(4);
-        let ids: Vec<RouterId> = topo.routers().collect();
-        let spec = LiveSpec {
-            flows: vec![FlowSpec::new(ids[0], ids[3], 800, Duration::from_millis(2))],
-            droppers: vec![],
-            ..LiveSpec::default()
-        };
-        let cfg = LiveConfig {
-            tau: Duration::from_millis(200),
-            exchange_budget: Duration::from_millis(100),
-            rounds: 2,
-            shards: 2,
-            mailbox_fastpath: true,
-            ..LiveConfig::default()
-        };
-        let transports = LoopbackHub::group(&ids);
-        let outcome = LiveDeployment::run(&topo, &spec, &cfg, transports);
-        assert!(outcome.suspicions.is_empty());
-        assert!(outcome.stats.data_delivered > 0);
-        // First transmissions all ride the mailbox; only retransmissions
-        // may touch the transport.
-        assert!(
-            outcome.stats.wire_bytes_sent < outcome.stats.data_bytes_sent / 2,
-            "fastpath did not bypass the wire: {} wire vs {} data bytes",
-            outcome.stats.wire_bytes_sent,
-            outcome.stats.data_bytes_sent
         );
     }
 
