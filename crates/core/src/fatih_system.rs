@@ -602,17 +602,9 @@ mod tests {
             SimTime::ZERO,
             None,
         );
-        let mut system = FatihSystem::new(
-            &net,
-            ks,
-            FatihConfig {
-                transport: TransportConfig {
-                    max_attempts: 10,
-                    ..TransportConfig::default()
-                },
-                ..FatihConfig::default()
-            },
-        );
+        let mut cfg = FatihConfig::default();
+        cfg.transport.retry.max_attempts = 10;
+        let mut system = FatihSystem::new(&net, ks, cfg);
         system.run(&mut net, SimTime::from_secs(15));
         assert!(
             system.timeline().is_empty(),

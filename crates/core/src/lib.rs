@@ -35,9 +35,10 @@
 //!   the Chapter 3 literature review: the per-interface rate model, the
 //!   ack/timeout per-packet protocols, and Secure Traceroute with its
 //!   framing weakness;
-//! * [`transport`] — reliable control-plane delivery: per-message
-//!   ack/retransmission with exponential backoff, bounded retries and
-//!   duplicate suppression over the lossy simulated network;
+//! * [`transport`] — reliable control-plane delivery: one sans-I/O
+//!   ack/retransmit/dedup state machine with capped exponential backoff
+//!   and bounded retries, driven over the lossy simulated network here and
+//!   over real transports by the wire runtime;
 //! * [`perlman`] — Byzantine-robust multipath forwarding under
 //!   `TotalFault(f)` (§3.7).
 //!

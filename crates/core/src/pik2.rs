@@ -698,10 +698,9 @@ mod tests {
         // router is accused.
         let (mut net, ids, ks) = line(6);
         let mut det = Pik2Detector::new(net.routes(), ks, Pik2Config::default());
-        let mut transport = ReliableTransport::new(crate::transport::TransportConfig {
-            max_attempts: 10,
-            ..Default::default()
-        });
+        let mut cfg = crate::transport::TransportConfig::default();
+        cfg.retry.max_attempts = 10;
+        let mut transport = ReliableTransport::new(cfg);
         net.set_fault_plan(Some(fatih_sim::FaultPlan::new(7).with_default_link_faults(
             fatih_sim::LinkFaults {
                 loss: 0.2,

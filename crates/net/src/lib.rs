@@ -19,9 +19,11 @@
 //!   loop;
 //! * [`timer`] — a deadline-driven hashed timer wheel for round ticks,
 //!   flow ticks and retransmit timeouts;
-//! * [`reliable`] — per-message ack/retransmission with capped exponential
-//!   backoff and duplicate suppression, the live twin of
-//!   `fatih_core::transport::ReliableTransport`;
+//! * [`reliable`] — the `ReliableConfig`/`ReliableLayer` names for
+//!   `fatih_core::transport`'s retry machine (ack, capped exponential
+//!   backoff, duplicate suppression), the one the simulator drives too;
+//!   the runtime uses it directly and the perfbench harness imports it
+//!   from here;
 //! * [`runtime`] — the sharded live runtime: a small pool of worker
 //!   threads, each multiplexing a shard of router event loops over
 //!   non-blocking transports with one shared timer wheel per shard, plus

@@ -1,344 +1,11 @@
-//! Reliable control-plane delivery over a lossy datagram transport.
+//! The reliable-delivery names the perfbench layer harness imports.
 //!
-//! The live twin of `fatih_core::transport::ReliableTransport`: every
-//! reliable control frame is retransmitted on an exponential backoff —
-//! capped, saturating, never overflowing — until acked or the attempt
-//! budget is exhausted. Exhaustion is surfaced to the caller, whose
-//! protocol semantics turn it into a timeout accusation. Receivers
-//! suppress duplicates by (source, sequence), so retransmissions and
-//! chaos-duplicated frames are processed exactly once.
+//! The ack/retransmit/dedup state machine is
+//! [`fatih_core::transport::RetryMachine`], shared with the simulator; the
+//! runtime drives it directly. This module holds no logic of its own.
 
-use crate::transport::Transport;
-use fatih_obs::Counter;
-use fatih_topology::RouterId;
-use std::collections::{HashMap, HashSet};
-use std::time::Duration;
+pub use fatih_core::transport::RetryPolicy as ReliableConfig;
 
-/// Retransmission policy.
-#[derive(Debug, Clone, Copy)]
-pub struct ReliableConfig {
-    /// Initial retransmission timeout.
-    pub rto: Duration,
-    /// Ceiling on the backed-off interval.
-    pub max_backoff: Duration,
-    /// Attempts (first send included) before giving up.
-    pub max_attempts: u32,
-}
-
-impl Default for ReliableConfig {
-    fn default() -> Self {
-        Self {
-            rto: Duration::from_millis(25),
-            max_backoff: Duration::from_millis(100),
-            max_attempts: 8,
-        }
-    }
-}
-
-impl ReliableConfig {
-    /// Backoff before retry number `attempts` (1-based): `rto·2^(n−1)`,
-    /// saturating and capped at `max_backoff`.
-    pub fn backoff(&self, attempts: u32) -> Duration {
-        let doublings = attempts.saturating_sub(1).min(31);
-        self.rto
-            .saturating_mul(1u32 << doublings)
-            .min(self.max_backoff)
-    }
-}
-
-#[derive(Debug)]
-struct Outstanding {
-    dst: RouterId,
-    frame: Vec<u8>,
-    attempts: u32,
-    next_retry_ns: u64,
-}
-
-/// A message whose delivery could not be confirmed within the attempt
-/// budget.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Exhausted {
-    /// Sequence number of the abandoned frame.
-    pub seq: u64,
-    /// Destination that never acked.
-    pub dst: RouterId,
-    /// Attempts made.
-    pub attempts: u32,
-}
-
-/// Sender-side retransmission state plus receiver-side deduplication.
-#[derive(Debug, Default)]
-pub struct ReliableLayer {
-    cfg: ReliableConfig,
-    outstanding: HashMap<u64, Outstanding>,
-    seen: HashSet<(RouterId, u64)>,
-    /// Retransmissions performed. Defaults to a private cell; the
-    /// runtime swaps in a registry-backed handle via
-    /// [`ReliableLayer::attach_counters`].
-    pub retransmits: Counter,
-    /// Wire bytes spent on retransmissions (control-plane accounting).
-    pub retransmit_bytes: Counter,
-    /// This layer's own retransmissions — the shared counters above may
-    /// aggregate many layers, so per-layer deltas need a local tally.
-    local_retransmits: u64,
-}
-
-impl ReliableLayer {
-    /// A layer with the given policy.
-    pub fn new(cfg: ReliableConfig) -> Self {
-        Self {
-            cfg,
-            ..Self::default()
-        }
-    }
-
-    /// Replaces the retransmit accounting cells with registry-backed
-    /// handles so every layer in a deployment aggregates into the same
-    /// named counters.
-    pub fn attach_counters(&mut self, retransmits: Counter, retransmit_bytes: Counter) {
-        self.retransmits = retransmits;
-        self.retransmit_bytes = retransmit_bytes;
-    }
-
-    /// Registers an already-sent frame for retransmission tracking.
-    /// `now_ns` is the send time on the caller's clock axis.
-    pub fn track(&mut self, seq: u64, dst: RouterId, frame: Vec<u8>, now_ns: u64) {
-        let next = now_ns.saturating_add(self.cfg.backoff(1).as_nanos() as u64);
-        self.outstanding.insert(
-            seq,
-            Outstanding {
-                dst,
-                frame,
-                attempts: 1,
-                next_retry_ns: next,
-            },
-        );
-    }
-
-    /// Processes an ack; returns whether it matched an outstanding frame.
-    pub fn on_ack(&mut self, seq: u64) -> bool {
-        self.outstanding.remove(&seq).is_some()
-    }
-
-    /// Whether a received control frame `(src, seq)` is new. The first
-    /// call for a pair returns true; duplicates (retransmissions, chaos
-    /// duplication) return false.
-    pub fn accept(&mut self, src: RouterId, seq: u64) -> bool {
-        self.seen.insert((src, seq))
-    }
-
-    /// Retransmissions performed by this layer alone (unlike the
-    /// [`ReliableLayer::retransmits`] counter, never shared).
-    pub fn local_retransmits(&self) -> u64 {
-        self.local_retransmits
-    }
-
-    /// Messages awaiting acks.
-    pub fn in_flight(&self) -> usize {
-        self.outstanding.len()
-    }
-
-    /// Drops every outstanding frame addressed to `dst`, cancelling its
-    /// retransmission timers. Called when a peer is convicted, departs or
-    /// crashes: nothing it will never ack should keep occupying timer
-    /// slots (or generating wire traffic) for the rest of the run. Returns
-    /// the number of frames cancelled.
-    pub fn purge_peer(&mut self, dst: RouterId) -> usize {
-        let before = self.outstanding.len();
-        self.outstanding.retain(|_, o| o.dst != dst);
-        before - self.outstanding.len()
-    }
-
-    /// Forgets the receive-side dedup history for `src`, so a restarted
-    /// peer's fresh sequence space is not shadowed by its previous
-    /// incarnation's entries.
-    pub fn forget_peer_history(&mut self, src: RouterId) {
-        self.seen.retain(|(s, _)| *s != src);
-    }
-
-    /// Earliest pending retry deadline on the caller's clock axis.
-    pub fn next_deadline_ns(&self) -> Option<u64> {
-        self.outstanding.values().map(|o| o.next_retry_ns).min()
-    }
-
-    /// Retransmits everything due at `now_ns` and returns the messages
-    /// whose attempt budget ran out (removed from tracking).
-    pub fn pump<T: Transport + ?Sized>(
-        &mut self,
-        now_ns: u64,
-        transport: &mut T,
-    ) -> Vec<Exhausted> {
-        let mut exhausted = Vec::new();
-        let due: Vec<u64> = self
-            .outstanding
-            .iter()
-            .filter(|(_, o)| o.next_retry_ns <= now_ns)
-            .map(|(&seq, _)| seq)
-            .collect();
-        for seq in due {
-            let o = self.outstanding.get_mut(&seq).expect("just listed");
-            if o.attempts >= self.cfg.max_attempts {
-                exhausted.push(Exhausted {
-                    seq,
-                    dst: o.dst,
-                    attempts: o.attempts,
-                });
-                self.outstanding.remove(&seq);
-                continue;
-            }
-            o.attempts += 1;
-            let _ = transport.send(o.dst, &o.frame); // best-effort resend
-            self.retransmits.inc();
-            self.retransmit_bytes.add(o.frame.len() as u64);
-            self.local_retransmits += 1;
-            o.next_retry_ns = now_ns.saturating_add(self.cfg.backoff(o.attempts).as_nanos() as u64);
-        }
-        exhausted
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::transport::NetError;
-
-    /// Transport that records sends and optionally drops everything.
-    struct MockNet {
-        local: RouterId,
-        sent: Vec<(RouterId, Vec<u8>)>,
-    }
-
-    impl Transport for MockNet {
-        fn local(&self) -> RouterId {
-            self.local
-        }
-        fn send(&mut self, dst: RouterId, frame: &[u8]) -> Result<(), NetError> {
-            self.sent.push((dst, frame.to_vec()));
-            Ok(())
-        }
-        fn recv_timeout(&mut self, _: Duration) -> Result<Option<Vec<u8>>, NetError> {
-            Ok(None)
-        }
-    }
-
-    fn rid(v: u32) -> RouterId {
-        RouterId::from(v)
-    }
-
-    #[test]
-    fn backoff_doubles_then_caps_without_overflow() {
-        let cfg = ReliableConfig {
-            rto: Duration::from_millis(10),
-            max_backoff: Duration::from_millis(45),
-            max_attempts: 100,
-        };
-        assert_eq!(cfg.backoff(1), Duration::from_millis(10));
-        assert_eq!(cfg.backoff(2), Duration::from_millis(20));
-        assert_eq!(cfg.backoff(3), Duration::from_millis(40));
-        assert_eq!(cfg.backoff(4), Duration::from_millis(45));
-        for attempts in [5, 31, 32, 33, 64, u32::MAX] {
-            assert_eq!(cfg.backoff(attempts), Duration::from_millis(45));
-        }
-    }
-
-    #[test]
-    fn ack_stops_retransmission() {
-        let mut layer = ReliableLayer::new(ReliableConfig::default());
-        let mut net = MockNet {
-            local: rid(0),
-            sent: vec![],
-        };
-        layer.track(7, rid(1), b"frame".to_vec(), 0);
-        assert_eq!(layer.in_flight(), 1);
-        assert!(layer.on_ack(7));
-        assert!(!layer.on_ack(7), "second ack is stale");
-        let ex = layer.pump(u64::MAX, &mut net);
-        assert!(ex.is_empty());
-        assert!(net.sent.is_empty());
-    }
-
-    #[test]
-    fn dead_peer_exhausts_after_max_attempts() {
-        let cfg = ReliableConfig {
-            rto: Duration::from_millis(10),
-            max_backoff: Duration::from_millis(20),
-            max_attempts: 4,
-        };
-        let mut layer = ReliableLayer::new(cfg);
-        let mut net = MockNet {
-            local: rid(0),
-            sent: vec![],
-        };
-        layer.track(1, rid(2), b"m".to_vec(), 0);
-        let mut now = 0;
-        let mut exhausted = Vec::new();
-        for _ in 0..20 {
-            now += 10_000_000; // 10ms steps
-            exhausted.extend(layer.pump(now, &mut net));
-        }
-        // Attempts 2, 3, 4 are retransmissions; the 5th pump exhausts.
-        assert_eq!(net.sent.len(), 3);
-        assert_eq!(
-            exhausted,
-            vec![Exhausted {
-                seq: 1,
-                dst: rid(2),
-                attempts: 4
-            }]
-        );
-        assert_eq!(layer.in_flight(), 0);
-    }
-
-    #[test]
-    fn duplicate_suppression_by_source_and_seq() {
-        let mut layer = ReliableLayer::new(ReliableConfig::default());
-        assert!(layer.accept(rid(1), 5));
-        assert!(!layer.accept(rid(1), 5));
-        assert!(layer.accept(rid(2), 5), "same seq, different source");
-        assert!(layer.accept(rid(1), 6));
-    }
-
-    #[test]
-    fn purge_peer_cancels_outstanding_frames_and_timers() {
-        let mut layer = ReliableLayer::new(ReliableConfig::default());
-        let mut net = MockNet {
-            local: rid(0),
-            sent: vec![],
-        };
-        layer.track(1, rid(2), b"a".to_vec(), 0);
-        layer.track(2, rid(2), b"b".to_vec(), 0);
-        layer.track(3, rid(3), b"c".to_vec(), 0);
-        assert_eq!(layer.purge_peer(rid(2)), 2);
-        assert_eq!(layer.in_flight(), 1);
-        assert_eq!(layer.purge_peer(rid(2)), 0, "idempotent");
-        // Only the surviving peer's frame is ever retransmitted; the
-        // purged frames can neither retransmit nor exhaust.
-        let ex = layer.pump(u64::MAX / 2, &mut net);
-        assert!(ex.is_empty());
-        assert!(net.sent.iter().all(|(dst, _)| *dst == rid(3)));
-        assert!(layer.next_deadline_ns().is_some());
-    }
-
-    #[test]
-    fn forget_peer_history_reopens_dedup_space() {
-        let mut layer = ReliableLayer::new(ReliableConfig::default());
-        assert!(layer.accept(rid(1), 5));
-        assert!(layer.accept(rid(2), 5));
-        layer.forget_peer_history(rid(1));
-        assert!(layer.accept(rid(1), 5), "restarted peer reuses its seq");
-        assert!(!layer.accept(rid(2), 5), "other peers' history kept");
-    }
-
-    #[test]
-    fn next_deadline_tracks_earliest_retry() {
-        let cfg = ReliableConfig {
-            rto: Duration::from_millis(10),
-            ..ReliableConfig::default()
-        };
-        let mut layer = ReliableLayer::new(cfg);
-        assert_eq!(layer.next_deadline_ns(), None);
-        layer.track(1, rid(1), vec![], 5_000_000);
-        layer.track(2, rid(1), vec![], 0);
-        assert_eq!(layer.next_deadline_ns(), Some(10_000_000));
-    }
-}
+/// The wire runtime's retry machine: outstanding frames are sealed frame
+/// bytes.
+pub type ReliableLayer = fatih_core::transport::RetryMachine<Vec<u8>>;

@@ -35,13 +35,13 @@
 
 use crate::codec::{decode_frame, encode_frame, sign_alert, verify_alert, Frame, WireMessage};
 use crate::linkstate::{sign_link_state, verify_link_state, LinkStateUpdate, TopoUpdate};
-use crate::reliable::{ReliableConfig, ReliableLayer};
 use crate::timer::TimerWheel;
 use crate::transport::Transport;
 use fatih_core::monitor::{MonitorMode, PathOracle, SegmentMonitorSet};
 use fatih_core::policy::{tv_pair, PairVerdict, Policy, Thresholds};
 use fatih_core::probation::ProbationTracker;
 use fatih_core::spec::{Interval, Suspicion};
+use fatih_core::transport::{Pumped, RetryMachine, RetryPolicy};
 use fatih_crypto::{Fingerprint, KeyStore, Signature};
 use fatih_obs::trace::{NO_ROUND, NO_ROUTER};
 use fatih_obs::{
@@ -186,10 +186,6 @@ pub struct LiveConfig {
     pub maturity_lag: Duration,
     /// Number of rounds to run.
     pub rounds: u64,
-    /// Benign-anomaly allowances for traffic validation.
-    pub thresholds: Thresholds,
-    /// Reliable-delivery policy for summaries and alerts.
-    pub reliable: ReliableConfig,
     /// Master seed for the deployment's key infrastructure.
     pub key_seed: u64,
     /// Worker shards multiplexing the router event loops. `0` = auto:
@@ -197,22 +193,15 @@ pub struct LiveConfig {
     pub shards: usize,
     /// Summary-exchange mode (full transfer vs reconciliation).
     pub summary: SummaryMode,
-    /// Capacity of each shard's trace ring ([`TraceBuffer`]): oldest
-    /// events are overwritten beyond this, but per-kind totals survive.
-    pub trace_capacity: usize,
     /// Whether convictions trigger the §2.4.3 response: flood a signed
     /// [`TopoUpdate::ExcludeSegment`], reroute around it and reconverge.
     /// Off, the runtime only detects (the pre-response behaviour).
     pub response: bool,
-    /// Clean rounds a crash-restarted router must survive on probation
-    /// (no transit duty) before it carries transit traffic again.
-    pub probation_rounds: u64,
 }
 
 impl Default for LiveConfig {
-    /// Timing tuned for loopback transports: 300ms rounds, an exchange
-    /// budget long enough for ~6 retransmission attempts, and a small
-    /// loss allowance so scheduling jitter never looks like an attack.
+    /// Timing tuned for loopback transports: 300ms rounds and an exchange
+    /// budget long enough for ~6 retransmission attempts.
     fn default() -> Self {
         Self {
             k: 1,
@@ -220,17 +209,10 @@ impl Default for LiveConfig {
             exchange_budget: Duration::from_millis(150),
             maturity_lag: Duration::from_millis(60),
             rounds: 3,
-            thresholds: Thresholds {
-                loss: 2,
-                reorder: 0,
-            },
-            reliable: ReliableConfig::default(),
             key_seed: 0xFA714,
             shards: 0,
             summary: SummaryMode::Full,
-            trace_capacity: 32_768,
             response: true,
-            probation_rounds: 2,
         }
     }
 }
@@ -331,15 +313,9 @@ pub struct LiveStats {
     pub data_delivered: u64,
     /// Data packets silently dropped by compromised routers.
     pub data_dropped: u64,
-    /// Control-frame retransmissions.
-    pub retransmits: u64,
-    /// Encoded bytes of first-transmission data frames.
-    pub data_bytes_sent: u64,
     /// Encoded bytes of control frames (summaries, digests, pulls, acks,
     /// alerts, accusations), including retransmissions.
     pub control_bytes_sent: u64,
-    /// Bytes the transports actually put on the wire.
-    pub wire_bytes_sent: u64,
     /// Reconciliation-mode digest exchanges decoded without a full
     /// transfer.
     pub digests_resolved: u64,
@@ -348,94 +324,78 @@ pub struct LiveStats {
     pub digest_fallbacks: u64,
 }
 
-impl LiveStats {
-    /// Reconstructs the aggregate view from the `net.*` counters of a
-    /// registry snapshot. Retransmitted bytes fold into
-    /// `control_bytes_sent`, as the pre-registry accounting did.
-    pub fn from_snapshot(snap: &MetricsSnapshot) -> Self {
-        Self {
-            frames_sent: snap.counter("net.frames_sent"),
-            data_delivered: snap.counter("net.data_delivered"),
-            data_dropped: snap.counter("net.data_dropped"),
-            retransmits: snap.counter("net.retransmits"),
-            data_bytes_sent: snap.counter("net.data_bytes_sent"),
-            control_bytes_sent: snap.counter("net.control_bytes_sent")
-                + snap.counter("net.retransmit_bytes"),
-            wire_bytes_sent: snap.counter("net.wire_bytes_sent"),
-            digests_resolved: snap.counter("net.digests_resolved"),
-            digest_fallbacks: snap.counter("net.digest_fallbacks"),
+/// Declares [`NetMetrics`]: one registered handle per listed field, named
+/// `net.<field>` in the registry, so each metric name is spelled once.
+macro_rules! net_metrics {
+    (counters { $($c:ident),* $(,)? } histograms { $($h:ident),* $(,)? }) => {
+        /// Registered handles for every metric the live runtime maintains.
+        /// One set of cells per deployment: each node clones the handles,
+        /// so increments from every shard aggregate with no collection
+        /// step.
+        #[derive(Debug, Clone)]
+        struct NetMetrics {
+            $($c: Counter,)*
+            $($h: Histogram,)*
         }
+
+        impl NetMetrics {
+            fn registered(reg: &MetricsRegistry) -> Self {
+                Self {
+                    $($c: reg.counter(concat!("net.", stringify!($c))),)*
+                    $($h: reg.histogram(concat!("net.", stringify!($h))),)*
+                }
+            }
+        }
+    };
+}
+
+net_metrics! {
+    counters {
+        frames_sent,
+        frames_received,
+        data_delivered,
+        data_dropped,
+        retransmits,
+        retransmit_bytes,
+        decode_failures,
+        encode_failures,
+        data_bytes_sent,
+        control_bytes_sent,
+        wire_bytes_sent,
+        wire_bytes_recv,
+        digests_resolved,
+        digest_fallbacks,
+        accusations_raised,
+        alerts_sent,
+        summary_timeouts,
+        epoch_transitions,
+        ls_updates_sent,
+        ls_updates_applied,
+        untapped_drained,
+        transition_forward_miss,
+        purged_frames,
+        probation_admitted,
+        probation_cleared,
+        routers_isolated,
+    }
+    histograms {
+        frame_bytes,
+        round_eval_ns,
+        reroute_latency_ns,
     }
 }
 
-/// Registered handles for every metric the live runtime maintains. One
-/// set of cells per deployment: each node clones the handles, so
-/// increments from every shard aggregate with no collection step.
-#[derive(Debug, Clone)]
-struct NetMetrics {
-    frames_sent: Counter,
-    frames_received: Counter,
-    data_delivered: Counter,
-    data_dropped: Counter,
-    retransmits: Counter,
-    retransmit_bytes: Counter,
-    decode_failures: Counter,
-    encode_failures: Counter,
-    data_bytes_sent: Counter,
-    control_bytes_sent: Counter,
-    wire_bytes_sent: Counter,
-    wire_bytes_recv: Counter,
-    digests_resolved: Counter,
-    digest_fallbacks: Counter,
-    accusations_raised: Counter,
-    alerts_sent: Counter,
-    summary_timeouts: Counter,
-    epoch_transitions: Counter,
-    ls_updates_sent: Counter,
-    ls_updates_applied: Counter,
-    untapped_drained: Counter,
-    transition_forward_miss: Counter,
-    purged_frames: Counter,
-    probation_admitted: Counter,
-    probation_cleared: Counter,
-    routers_isolated: Counter,
-    frame_bytes: Histogram,
-    round_eval_ns: Histogram,
-    reroute_latency_ns: Histogram,
-}
-
 impl NetMetrics {
-    fn registered(reg: &MetricsRegistry) -> Self {
-        Self {
-            frames_sent: reg.counter("net.frames_sent"),
-            frames_received: reg.counter("net.frames_received"),
-            data_delivered: reg.counter("net.data_delivered"),
-            data_dropped: reg.counter("net.data_dropped"),
-            retransmits: reg.counter("net.retransmits"),
-            retransmit_bytes: reg.counter("net.retransmit_bytes"),
-            decode_failures: reg.counter("net.decode_failures"),
-            encode_failures: reg.counter("net.encode_failures"),
-            data_bytes_sent: reg.counter("net.data_bytes_sent"),
-            control_bytes_sent: reg.counter("net.control_bytes_sent"),
-            wire_bytes_sent: reg.counter("net.wire_bytes_sent"),
-            wire_bytes_recv: reg.counter("net.wire_bytes_recv"),
-            digests_resolved: reg.counter("net.digests_resolved"),
-            digest_fallbacks: reg.counter("net.digest_fallbacks"),
-            accusations_raised: reg.counter("net.accusations_raised"),
-            alerts_sent: reg.counter("net.alerts_sent"),
-            summary_timeouts: reg.counter("net.summary_timeouts"),
-            epoch_transitions: reg.counter("net.epoch_transitions"),
-            ls_updates_sent: reg.counter("net.ls_updates_sent"),
-            ls_updates_applied: reg.counter("net.ls_updates_applied"),
-            untapped_drained: reg.counter("net.untapped_drained"),
-            transition_forward_miss: reg.counter("net.transition_forward_miss"),
-            purged_frames: reg.counter("net.purged_frames"),
-            probation_admitted: reg.counter("net.probation_admitted"),
-            probation_cleared: reg.counter("net.probation_cleared"),
-            routers_isolated: reg.counter("net.routers_isolated"),
-            frame_bytes: reg.histogram("net.frame_bytes"),
-            round_eval_ns: reg.histogram("net.round_eval_ns"),
-            reroute_latency_ns: reg.histogram("net.reroute_latency_ns"),
+    /// The aggregate view of the counters. Retransmitted bytes count as
+    /// control bytes.
+    fn stats(&self) -> LiveStats {
+        LiveStats {
+            frames_sent: self.frames_sent.get(),
+            data_delivered: self.data_delivered.get(),
+            data_dropped: self.data_dropped.get(),
+            control_bytes_sent: self.control_bytes_sent.get() + self.retransmit_bytes.get(),
+            digests_resolved: self.digests_resolved.get(),
+            digest_fallbacks: self.digest_fallbacks.get(),
         }
     }
 }
@@ -667,12 +627,11 @@ impl LiveDeployment {
                 _ => None,
             })
             .collect();
-        let metrics = registry.snapshot();
         LiveOutcome {
             suspicions,
             events,
-            stats: LiveStats::from_snapshot(&metrics),
-            metrics,
+            stats: metrics.stats(),
+            metrics: registry.snapshot(),
             round_metrics,
             trace,
             segments: segments.to_vec(),
@@ -711,6 +670,10 @@ enum ShardTimer {
 /// loop iteration before yielding to its shard-mates.
 const RECV_SWEEP: usize = 64;
 
+/// Capacity of each shard's trace ring ([`TraceBuffer`]): oldest events
+/// are overwritten beyond this, but per-kind totals survive.
+const TRACE_CAPACITY: usize = 32_768;
+
 /// One worker thread's shard of router event loops.
 struct Shard<T: Transport> {
     nodes: Vec<Node<T>>,
@@ -732,7 +695,7 @@ impl<T: Transport> Shard<T> {
             wheel: TimerWheel::new(),
             cfg,
             epoch,
-            trace: TraceBuffer::new(shard, cfg.trace_capacity),
+            trace: TraceBuffer::new(shard, TRACE_CAPACITY),
         }
     }
 
@@ -766,7 +729,7 @@ impl<T: Transport> Shard<T> {
             self.wheel
                 .schedule((r + 1) * tau + budget, ShardTimer::RoundEval(r));
         }
-        let pump_step = (self.cfg.reliable.rto.as_nanos() as u64 / 2).max(1_000_000);
+        let pump_step = (RetryPolicy::default().rto.as_nanos() as u64 / 2).max(1_000_000);
         self.wheel.schedule(pump_step, ShardTimer::Pump);
         let single = self.nodes.len() == 1;
         self.trace
@@ -930,7 +893,9 @@ struct Node<T: Transport> {
     drop_from: u64,
     rng: StdRng,
     digest_rng: StdRng,
-    reliable: ReliableLayer,
+    /// Reliable delivery of summaries and alerts: tracked frames are the
+    /// sealed bytes, retransmitted verbatim.
+    reliable: RetryMachine<Vec<u8>>,
     peer_summaries: HashMap<(u64, usize), fatih_core::monitor::Report>,
     /// Verdicts already decoded from digest exchanges: (round, segment) →
     /// (lost, fabricated), certified equal to the full-summary result.
@@ -973,6 +938,17 @@ struct Node<T: Transport> {
 /// setup, small enough that a flush never stalls the event loop.
 const OBS_BUF_FLUSH: usize = 128;
 
+/// Benign-anomaly allowances for traffic validation: a small loss
+/// allowance so scheduling jitter never looks like an attack.
+const THRESHOLDS: Thresholds = Thresholds {
+    loss: 2,
+    reorder: 0,
+};
+
+/// Clean rounds a crash-restarted router must survive on probation (no
+/// transit duty) before it carries transit traffic again.
+const PROBATION_ROUNDS: u64 = 2;
+
 impl<T: Transport> Node<T> {
     #[allow(clippy::too_many_arguments)]
     fn build(
@@ -1004,11 +980,6 @@ impl<T: Transport> Node<T> {
             })
             .collect();
         let dropper = spec.droppers.iter().find(|d| d.router == id);
-        let mut reliable = ReliableLayer::new(cfg.reliable);
-        reliable.attach_counters(
-            metrics.retransmits.clone(),
-            metrics.retransmit_bytes.clone(),
-        );
         Self {
             id,
             cfg: *cfg,
@@ -1035,7 +1006,7 @@ impl<T: Transport> Node<T> {
             digest_rng: StdRng::seed_from_u64(
                 cfg.key_seed ^ 0xD16E57 ^ (u64::from(u32::from(id)) << 16),
             ),
-            reliable,
+            reliable: RetryMachine::new(RetryPolicy::default()),
             peer_summaries: HashMap::new(),
             peer_verdicts: HashMap::new(),
             metrics,
@@ -1048,7 +1019,7 @@ impl<T: Transport> Node<T> {
             ls_db: Vec::new(),
             ls_seq: 0,
             convicted: Vec::new(),
-            probation: ProbationTracker::new(cfg.probation_rounds),
+            probation: ProbationTracker::new(PROBATION_ROUNDS),
             reported_down: HashSet::new(),
             churn: spec
                 .churn
@@ -1119,19 +1090,22 @@ impl<T: Transport> Node<T> {
             return;
         }
         let now = self.now_ns();
-        let before = self.reliable.local_retransmits();
-        let exhausted = self.reliable.pump(now, &mut self.transport);
-        let resent = self.reliable.local_retransmits() - before;
-        if resent > 0 {
+        let Pumped { resend, exhausted } = self.reliable.pump(now);
+        if !resend.is_empty() {
+            for &(_, dst, frame) in &resend {
+                let _ = self.transport.send(dst, frame); // best-effort resend
+                self.metrics.retransmits.inc();
+                self.metrics.retransmit_bytes.add(frame.len() as u64);
+            }
             trace.record(
                 now,
                 TraceKind::Retransmit,
                 u32::from(self.id),
                 NO_ROUND,
-                resent,
+                resend.len() as u64,
             );
         }
-        for ex in exhausted {
+        for (_, ex) in exhausted {
             trace.record(
                 now,
                 TraceKind::DeliveryExhausted,
@@ -1393,7 +1367,7 @@ impl<T: Transport> Node<T> {
                 };
                 tv_pair(up, down, cutoff, SimTime::ZERO)
             };
-            let passed = verdict.passes(Policy::Content, &self.cfg.thresholds);
+            let passed = verdict.passes(Policy::Content, &THRESHOLDS);
             let _ = events.send(LiveEvent::RoundEvaluated {
                 router: self.id,
                 round: r,
@@ -1567,7 +1541,8 @@ impl<T: Transport> Node<T> {
                 self.handle_data(frame.src, packet, epoch, trace)
             }
             WireMessage::Ack { msg_id } => {
-                self.reliable.on_ack(msg_id);
+                // Only the frame's destination can cancel its retransmission.
+                self.reliable.ack(msg_id, frame.src);
             }
             WireMessage::Summary {
                 round,
@@ -2095,17 +2070,12 @@ impl<T: Transport> Node<T> {
                 self.keys
                     .set_incarnation(u32::from(self.id), self.incarnation);
                 self.next_seq = u64::from(self.incarnation) << 48;
-                let mut reliable = ReliableLayer::new(self.cfg.reliable);
-                reliable.attach_counters(
-                    self.metrics.retransmits.clone(),
-                    self.metrics.retransmit_bytes.clone(),
-                );
-                self.reliable = reliable;
+                self.reliable = RetryMachine::new(RetryPolicy::default());
                 self.dyn_topo = DynamicTopology::new(self.dyn_topo.base().clone());
                 self.applied_keys.clear();
                 self.ls_db.clear();
                 self.convicted.clear();
-                self.probation = ProbationTracker::new(self.cfg.probation_rounds);
+                self.probation = ProbationTracker::new(PROBATION_ROUNDS);
                 self.reported_down.clear();
                 self.peer_summaries.clear();
                 self.peer_verdicts.clear();
@@ -2517,5 +2487,65 @@ mod tests {
             "no ProbationCleared event for the returnee"
         );
         assert!(outcome.stats.data_delivered > 0, "traffic stopped");
+    }
+
+    /// Only a frame's destination can cancel its retransmission: a sealed
+    /// ack from a third router that shares a pairwise key with the sender
+    /// leaves the frame tracked, so the next pump still resends it.
+    #[test]
+    fn ack_from_a_third_router_does_not_cancel_retransmission() {
+        let topo = builtin::line(3);
+        let ids: Vec<RouterId> = topo.routers().collect();
+        let (a, b, c) = (ids[0], ids[1], ids[2]);
+        let cfg = LiveConfig::default();
+        let mut keys = KeyStore::with_seed(cfg.key_seed);
+        for &id in &ids {
+            keys.register(id.into());
+        }
+        let keys = Arc::new(keys);
+        let registry = MetricsRegistry::new();
+        let transport = LoopbackHub::group(&ids)
+            .into_iter()
+            .find(|t| t.local() == a)
+            .expect("transport for a");
+        let mut node = Node::build(
+            a,
+            transport,
+            &LiveSpec::default(),
+            &cfg,
+            &keys,
+            &Arc::new(topo.link_state_routes()),
+            &Arc::new(Vec::new()),
+            PathOracle::from_paths(Vec::new()),
+            DynamicTopology::new(topo.clone()),
+            HashMap::new(),
+            &[],
+            NetMetrics::registered(&registry),
+        );
+        let (events, _rx) = mpsc::channel();
+        let mut trace = TraceBuffer::new(0, 64);
+        let ack_from = |src: RouterId| {
+            let msg = WireMessage::Ack { msg_id: 0 };
+            let frame = Frame {
+                src,
+                dst: a,
+                seq: 0,
+                msg,
+            };
+            encode_frame(&frame, &keys).expect("sealable ack")
+        };
+        let retransmits = || registry.snapshot().counter("net.retransmits");
+
+        let segment = PathSegment::new(ids.clone());
+        node.send_frame(b, WireMessage::SummaryPull { round: 0, segment }, true);
+        node.handle_frame(&ack_from(c), &events, &mut trace);
+        node.epoch -= Duration::from_secs(1); // the retry deadline has passed
+        node.pump(&events, &mut trace);
+        assert_eq!(retransmits(), 1, "a third router's ack cancelled the frame");
+
+        node.handle_frame(&ack_from(b), &events, &mut trace);
+        node.epoch -= Duration::from_secs(1);
+        node.pump(&events, &mut trace);
+        assert_eq!(retransmits(), 1, "the destination's ack must cancel it");
     }
 }

@@ -9,7 +9,6 @@
 
 use fatih::crypto::KeyStore;
 use fatih::protocols::fatih_system::{FatihConfig, FatihEvent, FatihSystem};
-use fatih::protocols::transport::TransportConfig;
 use fatih::sim::{Attack, FaultPlan, Network, SimTime};
 use fatih::topology::{builtin, RouterId};
 
@@ -44,17 +43,9 @@ fn main() {
     net.set_attacks(ids[3], vec![Attack::drop_flows([flow], 0.35)]);
     println!("n3 compromised — drops 35% of the n0→n5 flow\n");
 
-    let mut system = FatihSystem::new(
-        &net,
-        ks,
-        FatihConfig {
-            transport: TransportConfig {
-                max_attempts: 10,
-                ..TransportConfig::default()
-            },
-            ..FatihConfig::default()
-        },
-    );
+    let mut cfg = FatihConfig::default();
+    cfg.transport.retry.max_attempts = 10;
+    let mut system = FatihSystem::new(&net, ks, cfg);
     system.run(&mut net, SimTime::from_secs(30));
 
     for ev in system.timeline() {

@@ -60,6 +60,14 @@ fn drive_exchange(
     }
 }
 
+/// The transport with a 10-attempt retry budget, which rides out the
+/// chaos plans below.
+fn ten_attempts() -> TransportConfig {
+    let mut cfg = TransportConfig::default();
+    cfg.retry.max_attempts = 10;
+    cfg
+}
+
 /// Seed-derived probabilistic faults, bounded so a 10-attempt transport
 /// practically never exhausts (worst per-attempt round-trip failure at
 /// 14% symmetric loss over 2 hops ≈ 0.45; 0.45¹⁰ ≈ 3·10⁻⁴).
@@ -89,10 +97,7 @@ fn twenty_seeds_of_message_chaos_keep_accuracy_and_completeness() {
             FaultPlan::new(seed).with_default_link_faults(probabilistic_faults(seed)),
         ));
         let mut det = Pik2Detector::new(net.routes(), ks, Pik2Config::default());
-        let mut transport = ReliableTransport::new(TransportConfig {
-            max_attempts: 10,
-            ..TransportConfig::default()
-        });
+        let mut transport = ReliableTransport::new(ten_attempts());
         let flow = net.add_cbr_flow(
             ids[0],
             ids[5],
@@ -159,10 +164,7 @@ fn transient_chaos_quiesces_and_attacker_is_still_flagged() {
             &net,
             ks,
             FatihConfig {
-                transport: TransportConfig {
-                    max_attempts: 10,
-                    ..TransportConfig::default()
-                },
+                transport: ten_attempts(),
                 ..FatihConfig::default()
             },
         );
@@ -205,10 +207,7 @@ fn persistent_summary_withholder_is_flagged_across_seeds() {
         )));
         let mut det = Pik2Detector::new(net.routes(), ks, Pik2Config::default());
         det.set_report_fault(ids[0], ReportFault::Silent);
-        let mut transport = ReliableTransport::new(TransportConfig {
-            max_attempts: 10,
-            ..TransportConfig::default()
-        });
+        let mut transport = ReliableTransport::new(ten_attempts());
         net.add_cbr_flow(
             ids[0],
             ids[3],
