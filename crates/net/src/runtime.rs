@@ -377,6 +377,7 @@ net_metrics! {
         probation_admitted,
         probation_cleared,
         routers_isolated,
+        empty_polls,
     }
     histograms {
         frame_bytes,
@@ -577,7 +578,7 @@ impl LiveDeployment {
 
         let mut handles = Vec::with_capacity(n_shards);
         for (s, nodes) in shard_nodes.into_iter().enumerate() {
-            let shard = Shard::new(s as u32, nodes, *cfg, epoch);
+            let shard = Shard::new(s as u32, nodes, *cfg, epoch, metrics.empty_polls.clone());
             let flag = Arc::clone(&shutdown);
             let tx = event_tx.clone();
             handles.push(
@@ -683,10 +684,18 @@ struct Shard<T: Transport> {
     /// This worker's trace ring: written only by this thread, handed
     /// back when it joins.
     trace: TraceBuffer,
+    /// `net.empty_polls`, bumped once per sweep rather than per poll.
+    empty_polls: Counter,
 }
 
 impl<T: Transport> Shard<T> {
-    fn new(shard: u32, mut nodes: Vec<Node<T>>, cfg: LiveConfig, epoch: Instant) -> Self {
+    fn new(
+        shard: u32,
+        mut nodes: Vec<Node<T>>,
+        cfg: LiveConfig,
+        epoch: Instant,
+        empty_polls: Counter,
+    ) -> Self {
         for node in &mut nodes {
             node.epoch = epoch;
         }
@@ -696,6 +705,7 @@ impl<T: Transport> Shard<T> {
             cfg,
             epoch,
             trace: TraceBuffer::new(shard, TRACE_CAPACITY),
+            empty_polls,
         }
     }
 
@@ -787,6 +797,7 @@ impl<T: Transport> Shard<T> {
             }
 
             let mut handled = 0usize;
+            let mut empty_polls = 0u64;
             for ni in 0..self.nodes.len() {
                 if !self.nodes[ni].open {
                     continue;
@@ -797,7 +808,10 @@ impl<T: Transport> Shard<T> {
                             self.nodes[ni].handle_frame(&bytes, events, &mut self.trace);
                             handled += 1;
                         }
-                        Ok(None) => break,
+                        Ok(None) => {
+                            empty_polls += 1;
+                            break;
+                        }
                         Err(_) => {
                             self.nodes[ni].open = false;
                             break;
@@ -805,6 +819,7 @@ impl<T: Transport> Shard<T> {
                     }
                 }
             }
+            self.empty_polls.add(empty_polls);
 
             if handled == 0 {
                 let wait = self
@@ -2181,6 +2196,29 @@ mod tests {
             outcome.suspicions
         );
         assert!(outcome.stats.data_delivered > 0);
+    }
+
+    /// A shard's receive sweep polls every router each loop iteration, so
+    /// a quiet stretch shows up as empty polls in the registry.
+    #[test]
+    fn multi_node_shard_counts_empty_polls() {
+        let topo = builtin::line(4);
+        let ids: Vec<RouterId> = topo.routers().collect();
+        let spec = LiveSpec {
+            flows: vec![FlowSpec::new(ids[0], ids[3], 100, Duration::from_millis(5))],
+            droppers: vec![],
+            ..LiveSpec::default()
+        };
+        let cfg = LiveConfig {
+            tau: Duration::from_millis(200),
+            exchange_budget: Duration::from_millis(100),
+            rounds: 1,
+            shards: 1,
+            ..LiveConfig::default()
+        };
+        let outcome = LiveDeployment::run(&topo, &spec, &cfg, LoopbackHub::group(&ids));
+        assert!(outcome.suspicions.is_empty(), "{:?}", outcome.suspicions);
+        assert!(outcome.metrics.counter("net.empty_polls") > 0);
     }
 
     /// Multi-router shards (2 workers for 5 routers) must reach the same

@@ -18,6 +18,7 @@ use crate::codec::{peek_type, MsgType, MAX_FRAME};
 use fatih_topology::RouterId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::net::UdpSocket;
 use std::sync::mpsc;
@@ -70,10 +71,9 @@ pub trait Transport: Send {
     /// Receives the next frame without blocking: `Ok(None)` when nothing
     /// is queued. The sharded runtime sweeps many endpoints per worker
     /// thread, so a blocking receive on one router would starve its
-    /// shard-mates. The default falls back to a minimal-timeout receive.
-    fn try_recv(&mut self) -> Result<Option<Vec<u8>>, NetError> {
-        self.recv_timeout(Duration::from_micros(1))
-    }
+    /// shard-mates, and most sweep calls find nothing: an empty poll
+    /// should cost no more than the check itself.
+    fn try_recv(&mut self) -> Result<Option<Vec<u8>>, NetError>;
 
     /// Largest frame this transport can carry.
     fn max_datagram(&self) -> usize {
@@ -230,14 +230,23 @@ impl UdpNet {
     }
 }
 
+thread_local! {
+    /// One `MAX_FRAME` receive buffer per thread, shared by every
+    /// [`UdpNet`] endpoint that thread polls. Allocating and zeroing
+    /// 64 KB per call costs several times the syscall, and most shard
+    /// sweep calls find nothing; a buffer per endpoint would instead pin
+    /// 64 KB for each of hundreds of routers.
+    static RECV_BUF: RefCell<Vec<u8>> = RefCell::new(vec![0u8; MAX_FRAME]);
+}
+
 impl UdpNet {
+    /// One `recv_from` into the thread's buffer; a received frame costs
+    /// one copy of its own bytes, an empty poll no allocation at all.
     fn recv_inner(&mut self) -> Result<Option<Vec<u8>>, NetError> {
-        let mut buf = vec![0u8; MAX_FRAME];
-        match self.socket.recv_from(&mut buf) {
+        RECV_BUF.with_borrow_mut(|buf| match self.socket.recv_from(buf) {
             Ok((n, _)) => {
-                buf.truncate(n);
                 self.recv_bytes += n as u64;
-                Ok(Some(buf))
+                Ok(Some(buf[..n].to_vec()))
             }
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
@@ -246,7 +255,7 @@ impl UdpNet {
                 Ok(None)
             }
             Err(e) => Err(NetError::Io(e.to_string())),
-        }
+        })
     }
 }
 
@@ -524,6 +533,116 @@ mod tests {
         let got = b.recv_timeout(Duration::from_millis(500)).unwrap();
         assert_eq!(got.as_deref(), Some(&b"over the kernel"[..]));
         assert_eq!(b.recv_timeout(Duration::from_millis(1)).unwrap(), None);
+    }
+
+    /// Distinct, position-dependent bytes so a stale tail from an earlier
+    /// frame in the shared receive buffer would show.
+    fn patterned(len: usize, salt: u8) -> Vec<u8> {
+        (0..len)
+            .map(|i| (i as u8).wrapping_mul(31) ^ salt)
+            .collect()
+    }
+
+    /// Polls `try_recv` until a frame arrives (UDP loopback delivery is
+    /// asynchronous even on one host).
+    fn try_recv_eventually(t: &mut UdpNet) -> Vec<u8> {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            if let Some(f) = t.try_recv().unwrap() {
+                return f;
+            }
+            assert!(Instant::now() < deadline, "no frame arrived");
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn udp_frames_keep_exact_length_and_bytes_through_the_shared_buffer() {
+        let mut group = UdpNet::bind_group(&[rid(0), rid(1)]).unwrap();
+        let mut b = group.pop().unwrap();
+        let mut a = group.pop().unwrap();
+        // Largest first: a shorter frame after it must not pick up its tail.
+        let frames = [
+            patterned(MAX_FRAME, 0xA5),
+            patterned(1, 0x5A),
+            patterned(200, 0x3C),
+        ];
+        // One frame in flight at a time, so none can overflow the socket's
+        // receive queue.
+        for f in &frames {
+            a.send(rid(1), f).unwrap();
+            let got = b.recv_timeout(Duration::from_secs(5)).unwrap();
+            assert_eq!(
+                got.as_deref(),
+                Some(&f[..]),
+                "recv_timeout, {} bytes",
+                f.len()
+            );
+        }
+        for f in &frames {
+            a.send(rid(1), f).unwrap();
+            assert_eq!(
+                try_recv_eventually(&mut b),
+                *f,
+                "try_recv, {} bytes",
+                f.len()
+            );
+        }
+        assert_eq!(b.try_recv().unwrap(), None);
+        let total: usize = frames.iter().map(Vec::len).sum();
+        assert_eq!(b.bytes_recv() as usize, 2 * total);
+    }
+
+    #[test]
+    fn udp_endpoints_on_two_threads_receive_only_their_own_frames() {
+        let mut group = UdpNet::bind_group(&[rid(0), rid(1), rid(2)]).unwrap();
+        let c = group.pop().unwrap();
+        let b = group.pop().unwrap();
+        let mut a = group.pop().unwrap();
+        // Few and small enough that each socket's receive queue holds them
+        // all even if its thread falls behind.
+        const N: usize = 48;
+        let expected = |dst: u8| -> Vec<Vec<u8>> {
+            (0..N)
+                .map(|i| patterned(1 + (i * 97 + dst as usize * 13) % 1200, dst))
+                .collect()
+        };
+        // Both receivers are polling before the first send, so their
+        // receive calls overlap in time.
+        let ready = std::sync::Barrier::new(3);
+        std::thread::scope(|scope| {
+            let receivers: Vec<_> = [(b, 1u8), (c, 2u8)]
+                .into_iter()
+                .map(|(mut t, dst)| {
+                    let ready = &ready;
+                    scope.spawn(move || {
+                        ready.wait();
+                        let mut got = Vec::with_capacity(N);
+                        while got.len() < N {
+                            // Alternate the two receive paths.
+                            let f = if got.len() % 2 == 0 {
+                                try_recv_eventually(&mut t)
+                            } else {
+                                t.recv_timeout(Duration::from_secs(5))
+                                    .unwrap()
+                                    .expect("frame before timeout")
+                            };
+                            got.push(f);
+                        }
+                        (dst, got)
+                    })
+                })
+                .collect();
+            ready.wait();
+            for (fb, fc) in expected(1).iter().zip(&expected(2)) {
+                a.send(rid(1), fb).unwrap();
+                a.send(rid(2), fc).unwrap();
+            }
+            for h in receivers {
+                let (dst, got) = h.join().unwrap();
+                assert_eq!(got, expected(dst), "endpoint {dst}");
+            }
+        });
     }
 
     #[test]
