@@ -17,7 +17,7 @@ use crate::spec::{Interval, Suspicion};
 use crate::transport::{ReliableTransport, TransportEvent, TransportMsg};
 use fatih_crypto::{Fingerprint, KeyStore};
 use fatih_sim::{Network, SimTime, TapEvent};
-use fatih_topology::{PathSegment, RouterId, Routes};
+use fatih_topology::{pik2_segments_from_paths, Path, PathSegment, RouterId, Routes};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Configuration of a Πk+2 deployment.
@@ -49,6 +49,25 @@ impl Default for Pik2Config {
     }
 }
 
+/// The Πk+2 deployment over a set of monitored paths: every ≤(k+2)-window
+/// of `monitored` as the segment set, and a path oracle over `monitored`
+/// plus `also_routed` — paths that carry traffic without being monitored,
+/// whose packets must still resolve when a segment end taps them.
+pub fn deployment(
+    monitored: Vec<Path>,
+    also_routed: impl IntoIterator<Item = Path>,
+    router_count: usize,
+    k: usize,
+) -> (Vec<PathSegment>, PathOracle) {
+    let segments = pik2_segments_from_paths(monitored.iter().cloned(), router_count, k)
+        .all_segments()
+        .into_iter()
+        .collect();
+    let mut paths = monitored;
+    paths.extend(also_routed);
+    (segments, PathOracle::from_paths(paths))
+}
+
 /// The Πk+2 detector.
 #[derive(Debug)]
 pub struct Pik2Detector {
@@ -63,24 +82,19 @@ pub struct Pik2Detector {
 impl Pik2Detector {
     /// Deploys Πk+2 over the routed network.
     pub fn new(routes: &Routes, keystore: KeyStore, cfg: Pik2Config) -> Self {
-        let paths: Vec<fatih_topology::Path> = routes.all_paths().collect();
+        let paths: Vec<Path> = routes.all_paths().collect();
         Self::with_paths(&paths, routes.router_count(), keystore, cfg)
     }
 
     /// Deploys Πk+2 over an explicit path set — used to re-deploy
     /// monitoring after the response changed the routing fabric.
     pub fn with_paths(
-        paths: &[fatih_topology::Path],
+        paths: &[Path],
         router_count: usize,
         keystore: KeyStore,
         cfg: Pik2Config,
     ) -> Self {
-        let segments: Vec<PathSegment> =
-            fatih_topology::pik2_segments_from_paths(paths.iter().cloned(), router_count, cfg.k)
-                .all_segments()
-                .into_iter()
-                .collect();
-        let oracle = PathOracle::from_paths(paths.iter().cloned());
+        let (segments, oracle) = deployment(paths.to_vec(), [], router_count, cfg.k);
         let monitors = SegmentMonitorSet::new(
             segments,
             oracle,
@@ -116,90 +130,29 @@ impl Pik2Detector {
         self.monitors.observe(ev);
     }
 
-    /// Ends the round: runs every segment's end-to-end MAC'd exchange and
-    /// returns the raised suspicions.
+    /// Ends the round in memory: every segment end's (possibly distorted)
+    /// claim is sealed and verified exactly as the transport exchange does
+    /// it, then judged by [`finish_round`](Self::finish_round).
     ///
     /// Only packets mature at `now − maturity_lag` are judged; packets
     /// mature end-to-end are compacted out of the cumulative records so
     /// each is validated exactly once.
     pub fn end_round(&mut self, now: SimTime) -> Vec<Suspicion> {
-        let interval = Interval::new(self.round_start, now);
-        self.round_start = now;
-        let cutoff = now.since(self.cfg.maturity_lag);
-        let compact_cutoff = now.since(self.cfg.maturity_lag * 2);
-        // Packets already in flight when monitoring began must not read as
-        // fabrication (see `tv_pair`).
-        let fabrication_floor = self
-            .first_event
-            .map(|t| t + self.cfg.maturity_lag)
-            .unwrap_or(SimTime::ZERO);
-        let mut out: BTreeSet<Suspicion> = BTreeSet::new();
-
-        let segments: Vec<PathSegment> = self.monitors.segments().to_vec();
-        for (i, seg) in segments.iter().enumerate() {
-            let (a, b) = seg.ends();
-            let report_a = self.monitors.report(a, i);
-            let report_b = self.monitors.report(b, i);
-            // Ends have no upstream record within the segment to copy, so
-            // HideDrops degenerates to an honest report here; Silent and
-            // Inflate apply as-is.
-            let claimed_a = distort(self.report_faults.get(&a).copied(), &report_a, None, 1);
-            let claimed_b = distort(self.report_faults.get(&b).copied(), &report_b, None, 2);
-
-            // The exchange travels over π itself with a pairwise MAC
-            // (Figure 5.3); a missing or unauthenticated message is a
-            // failed exchange and the receiving end suspects π. We model
-            // the MAC check explicitly to keep the authentication path
-            // honest.
-            let authenticated = |claim: &Option<Report>| -> Option<Report> {
-                let r = claim.as_ref()?;
-                let bytes = r.encode();
-                let mac = self.keystore.pairwise_mac(a.into(), b.into(), &bytes);
-                self.keystore
-                    .pairwise_verify(b.into(), a.into(), &bytes, &mac)
-                    .then(|| r.clone())
-            };
-            let recv_at_b = authenticated(&claimed_a);
-            let recv_at_a = authenticated(&claimed_b);
-
-            let mut suspect = |raiser: RouterId| {
-                out.insert(Suspicion {
-                    segment: seg.clone(),
-                    interval,
-                    raised_by: raiser,
-                });
-            };
-
-            let mut judged_fabricated: BTreeSet<Fingerprint> = BTreeSet::new();
-            match (recv_at_a, recv_at_b) {
-                (None, _) => suspect(a), // b's message never arrived at a
-                (_, None) => suspect(b),
-                (Some(from_b), Some(from_a)) => {
-                    let verdict = tv_pair(Some(&from_a), Some(&from_b), cutoff, fabrication_floor);
-                    judged_fabricated.extend(verdict.fabricated.iter().copied());
-                    if !verdict.passes(self.cfg.policy, &self.cfg.thresholds) {
-                        // Both ends detect and announce (the broadcast of
-                        // Figure 5.3 upgrades this to strong completeness).
-                        suspect(a);
-                        suspect(b);
+        let mut exch = self.open_round(now, 0);
+        for seg in 0..self.monitors.segments().len() {
+            for from_a in [true, false] {
+                match self.claim(seg, from_a) {
+                    Some(report) => {
+                        let sealed = self.seal_summary(0, seg, from_a, &report);
+                        self.open_summary(&mut exch, &sealed);
+                    }
+                    None => {
+                        exch.failed.insert((seg, from_a));
                     }
                 }
             }
-
-            // Compaction: packets mature at the source one extra lag ago
-            // have been judged; drop them from both end records.
-            let mut done: BTreeSet<Fingerprint> = self
-                .monitors
-                .report(a, i)
-                .mature(compact_cutoff)
-                .entries
-                .iter()
-                .map(|e| e.fingerprint)
-                .collect();
-            done.extend(judged_fabricated);
-            self.monitors.compact_segment(i, &done);
         }
-        out.into_iter().collect()
+        self.finish_round(exch)
     }
 
     // ------------------------------------------------------------------
@@ -224,13 +177,37 @@ impl Pik2Detector {
         net: &mut Network,
         transport: &mut ReliableTransport,
     ) -> RoundExchange {
+        let mut exch = self.open_round(now, round_id);
+        for seg in 0..self.monitors.segments().len() {
+            let (a, b) = self.monitors.segments()[seg].ends();
+            for (sender, receiver, from_a) in [(a, b, true), (b, a, false)] {
+                let Some(report) = self.claim(seg, from_a) else {
+                    // A silent end sends nothing; the peer's round timer
+                    // expires and the exchange counts as failed.
+                    exch.failed.insert((seg, from_a));
+                    continue;
+                };
+                let payload = self.seal_summary(round_id, seg, from_a, &report);
+                let msg = transport.send(net, sender, receiver, payload);
+                exch.pending.insert(msg, (seg, from_a));
+            }
+        }
+        exch
+    }
+
+    /// Opens the round that ends at `now`: its interval, maturity and
+    /// compaction cutoffs, and fabrication floor, with nothing exchanged
+    /// yet.
+    fn open_round(&mut self, now: SimTime, round_id: u64) -> RoundExchange {
         let interval = Interval::new(self.round_start, now);
         self.round_start = now;
+        // Packets already in flight when monitoring began must not read as
+        // fabrication (see `tv_pair`).
         let fabrication_floor = self
             .first_event
             .map(|t| t + self.cfg.maturity_lag)
             .unwrap_or(SimTime::ZERO);
-        let mut exch = RoundExchange {
+        RoundExchange {
             round_id,
             interval,
             cutoff: now.since(self.cfg.maturity_lag),
@@ -239,93 +216,64 @@ impl Pik2Detector {
             pending: BTreeMap::new(),
             received: BTreeMap::new(),
             failed: BTreeSet::new(),
-        };
-        let segments: Vec<PathSegment> = self.monitors.segments().to_vec();
-        for (i, seg) in segments.iter().enumerate() {
-            let (a, b) = seg.ends();
-            for (sender, receiver, from_a, salt) in [(a, b, true, 1), (b, a, false, 2)] {
-                let report = self.monitors.report(sender, i);
-                let claimed = distort(
-                    self.report_faults.get(&sender).copied(),
-                    &report,
-                    None,
-                    salt,
-                );
-                let Some(claimed) = claimed else {
-                    // A silent end sends nothing; the peer's round timer
-                    // expires and the exchange counts as failed.
-                    exch.failed.insert((i, from_a));
-                    continue;
-                };
-                let payload = self.encode_summary(&exch, i, from_a, a, b, &claimed);
-                let msg = transport.send(net, sender, receiver, payload);
-                exch.pending.insert(msg, (i, from_a));
-            }
         }
-        exch
+    }
+
+    /// What segment `seg`'s end `a` (`from_a`) or `b` claims to its peer
+    /// this round; `None` for a silent end. Ends have no upstream record
+    /// within the segment to copy, so HideDrops degenerates to an honest
+    /// report here; Silent and Inflate apply as-is.
+    fn claim(&self, seg: usize, from_a: bool) -> Option<Report> {
+        let (a, b) = self.monitors.segments()[seg].ends();
+        let (sender, salt) = if from_a { (a, 1) } else { (b, 2) };
+        let report = self.monitors.report(sender, seg);
+        distort(
+            self.report_faults.get(&sender).copied(),
+            &report,
+            None,
+            salt,
+        )
     }
 
     /// Wire form of one summary: tag, round id, segment index, direction,
     /// pairwise MAC, report bytes. The MAC covers the context (round,
     /// segment, direction) and the report, so a summary cannot be replayed
     /// into another round or segment.
-    fn encode_summary(
-        &self,
-        exch: &RoundExchange,
-        seg: usize,
-        from_a: bool,
-        a: RouterId,
-        b: RouterId,
-        report: &Report,
-    ) -> Vec<u8> {
-        let body = report.encode();
-        let mut ctx = Vec::with_capacity(13 + body.len());
-        ctx.extend_from_slice(&exch.round_id.to_le_bytes());
-        ctx.extend_from_slice(&(seg as u32).to_le_bytes());
-        ctx.push(from_a as u8);
-        ctx.extend_from_slice(&body);
+    fn seal_summary(&self, round_id: u64, seg: usize, from_a: bool, report: &Report) -> Vec<u8> {
+        let (a, b) = self.monitors.segments()[seg].ends();
+        let ctx = summary_context(round_id, seg, from_a, &report.encode());
         let mac = self.keystore.pairwise_mac(a.into(), b.into(), &ctx);
         let mut out = Vec::with_capacity(1 + ctx.len() + 32);
         out.push(SUMMARY_TAG);
-        out.extend_from_slice(&exch.round_id.to_le_bytes());
-        out.extend_from_slice(&(seg as u32).to_le_bytes());
-        out.push(from_a as u8);
+        out.extend_from_slice(&ctx[..13]);
         out.extend_from_slice(&mac.0 .0);
-        out.extend_from_slice(&body);
+        out.extend_from_slice(&ctx[13..]);
         out
     }
 
-    /// Offers a delivered transport message to the exchange. Returns
-    /// `true` if it was one of this exchange's summaries (consumed),
-    /// `false` if it belongs to someone else (another round, an alert…).
-    pub fn exchange_message(&self, exch: &mut RoundExchange, msg: &TransportMsg) -> bool {
-        let p = &msg.payload;
+    /// Verifies one sealed summary and records it in `exch` as received
+    /// or, if unauthenticated or garbled, as a failed direction. `None` if
+    /// `p` is not a summary at all; `Some(false)` for a stale summary of
+    /// another round, which carries no information for this one.
+    fn open_summary(&self, exch: &mut RoundExchange, p: &[u8]) -> Option<bool> {
         if p.len() < 46 || p[0] != SUMMARY_TAG {
-            return false;
+            return None;
         }
-        let round_id = u64::from_le_bytes(p[1..9].try_into().unwrap());
+        let round_id = u64::from_le_bytes(p[1..9].try_into().expect("8 bytes"));
         if round_id != exch.round_id {
-            // A stale summary from an abandoned exchange: consumed (it is
-            // a summary) but carries no information for this round.
-            return true;
+            return Some(false);
         }
-        let seg = u32::from_le_bytes(p[9..13].try_into().unwrap()) as usize;
+        let seg = u32::from_le_bytes(p[9..13].try_into().expect("4 bytes")) as usize;
         let from_a = p[13] != 0;
         let mut mac_bytes = [0u8; 32];
         mac_bytes.copy_from_slice(&p[14..46]);
         let body = &p[46..];
-        exch.pending.remove(&msg.msg);
-        let segments = self.monitors.segments();
-        let Some(segment) = segments.get(seg) else {
+        let Some(segment) = self.monitors.segments().get(seg) else {
             exch.failed.insert((seg, from_a));
-            return true;
+            return Some(true);
         };
         let (a, b) = segment.ends();
-        let mut ctx = Vec::with_capacity(13 + body.len());
-        ctx.extend_from_slice(&round_id.to_le_bytes());
-        ctx.extend_from_slice(&(seg as u32).to_le_bytes());
-        ctx.push(from_a as u8);
-        ctx.extend_from_slice(body);
+        let ctx = summary_context(round_id, seg, from_a, body);
         let mac = fatih_crypto::Signature(fatih_crypto::Digest(mac_bytes));
         let authentic = self
             .keystore
@@ -340,7 +288,22 @@ impl Pik2Detector {
                 exch.failed.insert((seg, from_a));
             }
         }
-        true
+        Some(true)
+    }
+
+    /// Offers a delivered transport message to the exchange. Returns
+    /// `true` if it was one of this exchange's summaries (consumed),
+    /// `false` if it belongs to someone else (another round, an alert…).
+    pub fn exchange_message(&self, exch: &mut RoundExchange, msg: &TransportMsg) -> bool {
+        match self.open_summary(exch, &msg.payload) {
+            None => false,
+            Some(current) => {
+                if current {
+                    exch.pending.remove(&msg.msg);
+                }
+                true
+            }
+        }
     }
 
     /// Offers a sender-side transport event to the exchange: an
@@ -390,8 +353,15 @@ impl Pik2Detector {
                         suspect(b);
                     }
                 }
-                (None, _) => suspect(b), // a's summary never reached b
-                (_, None) => suspect(a), // b's summary never reached a
+                // Each end that lacks its peer's summary suspects π.
+                _ => {
+                    if from_a.is_none() {
+                        suspect(b);
+                    }
+                    if from_b.is_none() {
+                        suspect(a);
+                    }
+                }
             }
 
             let mut done: BTreeSet<Fingerprint> = self
@@ -412,8 +382,20 @@ impl Pik2Detector {
 /// First byte of a Πk+2 summary message on the wire.
 const SUMMARY_TAG: u8 = 0xE1;
 
-/// A transport-backed summary exchange in progress (between
-/// [`Pik2Detector::begin_round`] and [`Pik2Detector::finish_round`]).
+/// The bytes a summary's pairwise MAC covers: round id, segment index,
+/// direction, report bytes.
+fn summary_context(round_id: u64, seg: usize, from_a: bool, body: &[u8]) -> Vec<u8> {
+    let mut ctx = Vec::with_capacity(13 + body.len());
+    ctx.extend_from_slice(&round_id.to_le_bytes());
+    ctx.extend_from_slice(&(seg as u32).to_le_bytes());
+    ctx.push(from_a as u8);
+    ctx.extend_from_slice(body);
+    ctx
+}
+
+/// A summary exchange in progress: between [`Pik2Detector::begin_round`]
+/// and [`Pik2Detector::finish_round`] over the transport, or inside
+/// [`Pik2Detector::end_round`] in memory.
 #[derive(Debug)]
 pub struct RoundExchange {
     round_id: u64,
@@ -776,6 +758,59 @@ mod tests {
         let check = SpecCheck::evaluate(&sus, &faulty);
         assert!(check.is_complete(), "silent end escaped: {sus:?}");
         assert!(check.is_accurate(3));
+    }
+
+    #[test]
+    fn both_silent_ends_each_suspect_the_segment() {
+        // Figure 5.3: each end that lacks its peer's summary suspects π,
+        // so a segment whose two ends both stay silent is suspected by
+        // both — in memory and over the transport alike.
+        for over_transport in [false, true] {
+            let (mut net, ids, ks) = line(3);
+            let mut det = Pik2Detector::new(net.routes(), ks, Pik2Config::default());
+            net.add_cbr_flow(
+                ids[0],
+                ids[2],
+                1000,
+                SimTime::from_ms(2),
+                SimTime::ZERO,
+                None,
+            );
+            det.set_report_fault(ids[0], ReportFault::Silent);
+            det.set_report_fault(ids[2], ReportFault::Silent);
+            let sus = if over_transport {
+                let cfg = crate::transport::TransportConfig::default();
+                let mut transport = ReliableTransport::new(cfg);
+                let end = SimTime::from_secs(2);
+                net.run_until(end, |ev| det.observe(ev));
+                let mut exch = det.begin_round(end, 1, &mut net, &mut transport);
+                drive_exchange(
+                    &mut net,
+                    &mut det,
+                    &mut transport,
+                    &mut exch,
+                    SimTime::from_secs(1),
+                );
+                det.finish_round(exch)
+            } else {
+                run_one_round(&mut net, &mut det, 2)
+            };
+            assert!(det.segment_count() > 0);
+            for seg in det.monitors.segments() {
+                let (a, b) = seg.ends();
+                let raisers: Vec<RouterId> = sus
+                    .iter()
+                    .filter(|s| s.segment == *seg)
+                    .map(|s| s.raised_by)
+                    .collect();
+                assert_eq!(
+                    raisers.iter().copied().collect::<BTreeSet<_>>(),
+                    [a, b].into_iter().collect(),
+                    "over_transport={over_transport}: {sus:?}"
+                );
+                assert_eq!(raisers.len(), 2, "one suspicion per end: {sus:?}");
+            }
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! offset  size  field
 //! 0       1     magic (0xF7)
 //! 1       1     version (0x01)
-//! 2       1     message type (Data/Summary/Ack/Alert/Accusation)
+//! 2       1     message type (see `MsgType`)
 //! 3       4     source router id, u32 LE
 //! 7       4     destination router id, u32 LE
 //! 11      8     frame sequence number, u64 LE
@@ -25,13 +25,12 @@
 //! the packet's own integrity tag ([`Packet::intact`]), so a modification
 //! in flight surfaces as a traffic-validation failure, not a codec error.
 //!
-//! Alerts additionally carry an **inner signature** by their origin router
-//! over the alert's semantic content ([`alert_sign_bytes`]), so an alert
+//! Link-state updates additionally carry an **inner signature** by their
+//! origin router ([`crate::linkstate::ls_sign_bytes`]), so an update
 //! relayed by a third party is still attributable to its origin.
 
 use crate::linkstate::LinkStateUpdate;
 use fatih_core::monitor::Report;
-use fatih_core::spec::Interval;
 use fatih_core::wire::{WireEncoder, WireError, WireReader};
 use fatih_crypto::frame::{open_frame, seal_frame, MAC_LEN};
 use fatih_crypto::{KeyStore, Signature};
@@ -64,10 +63,6 @@ pub enum MsgType {
     Summary,
     /// Acknowledgment of a reliable control frame.
     Ack,
-    /// A signed alert: the raiser's suspicion, attributable to its origin.
-    Alert,
-    /// A timeout accusation: the peer's summary never arrived.
-    Accusation,
     /// Fixed-size digests of a per-segment record (reconciliation first).
     SummaryDigest,
     /// Fallback request for the full summary after a digest failed to
@@ -85,8 +80,6 @@ impl MsgType {
             MsgType::Data => 1,
             MsgType::Summary => 2,
             MsgType::Ack => 3,
-            MsgType::Alert => 4,
-            MsgType::Accusation => 5,
             MsgType::SummaryDigest => 6,
             MsgType::SummaryPull => 7,
             MsgType::LinkState => 8,
@@ -99,8 +92,6 @@ impl MsgType {
             1 => Some(MsgType::Data),
             2 => Some(MsgType::Summary),
             3 => Some(MsgType::Ack),
-            4 => Some(MsgType::Alert),
-            5 => Some(MsgType::Accusation),
             6 => Some(MsgType::SummaryDigest),
             7 => Some(MsgType::SummaryPull),
             8 => Some(MsgType::LinkState),
@@ -141,25 +132,6 @@ pub enum WireMessage {
         /// Sequence number of the acknowledged frame.
         msg_id: u64,
     },
-    /// A suspicion, signed by its origin so relays stay attributable.
-    Alert {
-        /// Router that raised the suspicion.
-        origin: RouterId,
-        /// The suspected segment.
-        segment: PathSegment,
-        /// The measurement interval the suspicion covers.
-        interval: Interval,
-        /// `origin`'s signature over [`alert_sign_bytes`].
-        sig: Signature,
-    },
-    /// Timeout-as-accusation: the sender never received its peer's
-    /// summary for this segment and interval.
-    Accusation {
-        /// The segment whose exchange timed out.
-        segment: PathSegment,
-        /// The measurement interval of the missing summary.
-        interval: Interval,
-    },
     /// Fixed-size digests of one end's record for a segment and round:
     /// the Appendix A reconciliation path. Bytes are proportional to the
     /// sketch capacity, not to the traffic summarized.
@@ -199,8 +171,6 @@ impl WireMessage {
             WireMessage::Data { .. } => MsgType::Data,
             WireMessage::Summary { .. } => MsgType::Summary,
             WireMessage::Ack { .. } => MsgType::Ack,
-            WireMessage::Alert { .. } => MsgType::Alert,
-            WireMessage::Accusation { .. } => MsgType::Accusation,
             WireMessage::SummaryDigest { .. } => MsgType::SummaryDigest,
             WireMessage::SummaryPull { .. } => MsgType::SummaryPull,
             WireMessage::LinkState { .. } => MsgType::LinkState,
@@ -242,8 +212,8 @@ pub enum CodecError {
     Field(WireError),
     /// A summary's embedded report was malformed.
     BadReport,
-    /// A decoded value violates its invariants (backwards interval,
-    /// unknown packet kind, frame too large to emit).
+    /// A decoded value violates its invariants (unknown packet kind,
+    /// out-of-range digest, malformed signature, frame too large to emit).
     Invalid,
 }
 
@@ -299,42 +269,6 @@ fn kind_from_code(code: u32) -> Option<PacketKind> {
     })
 }
 
-/// The bytes an alert's origin signs: its semantic content, independent of
-/// which hop-by-hop frame carries it.
-pub fn alert_sign_bytes(origin: RouterId, segment: &PathSegment, interval: Interval) -> Vec<u8> {
-    let mut e = WireEncoder::new();
-    e.router(origin)
-        .segment(segment)
-        .time(interval.start)
-        .time(interval.end);
-    e.into_bytes()
-}
-
-/// Signs an alert on behalf of `origin`.
-pub fn sign_alert(
-    keys: &KeyStore,
-    origin: RouterId,
-    segment: &PathSegment,
-    interval: Interval,
-) -> Signature {
-    keys.sign(origin.into(), &alert_sign_bytes(origin, segment, interval))
-}
-
-/// Verifies an alert's inner origin signature.
-pub fn verify_alert(
-    keys: &KeyStore,
-    origin: RouterId,
-    segment: &PathSegment,
-    interval: Interval,
-    sig: &Signature,
-) -> bool {
-    keys.verify(
-        origin.into(),
-        &alert_sign_bytes(origin, segment, interval),
-        sig,
-    )
-}
-
 fn encode_body(msg: &WireMessage) -> Vec<u8> {
     let mut e = WireEncoder::new();
     match msg {
@@ -360,21 +294,6 @@ fn encode_body(msg: &WireMessage) -> Vec<u8> {
         }
         WireMessage::Ack { msg_id } => {
             e.u64(*msg_id);
-        }
-        WireMessage::Alert {
-            origin,
-            segment,
-            interval,
-            sig,
-        } => {
-            e.router(*origin)
-                .segment(segment)
-                .time(interval.start)
-                .time(interval.end)
-                .bytes(&sig.0 .0);
-        }
-        WireMessage::Accusation { segment, interval } => {
-            e.segment(segment).time(interval.start).time(interval.end);
         }
         WireMessage::SummaryDigest {
             round,
@@ -563,24 +482,6 @@ pub fn decode_frame(bytes: &[u8], keys: &KeyStore) -> Result<Frame, CodecError> 
             }
         }
         MsgType::Ack => WireMessage::Ack { msg_id: rd.u64()? },
-        MsgType::Alert => {
-            let origin = rd.router()?;
-            let segment = rd.segment()?;
-            let interval = read_interval(&mut rd)?;
-            let sig_bytes = rd.bytes()?;
-            let digest: [u8; 32] = sig_bytes.try_into().map_err(|_| CodecError::Invalid)?;
-            WireMessage::Alert {
-                origin,
-                segment,
-                interval,
-                sig: Signature(fatih_crypto::Digest(digest)),
-            }
-        }
-        MsgType::Accusation => {
-            let segment = rd.segment()?;
-            let interval = read_interval(&mut rd)?;
-            WireMessage::Accusation { segment, interval }
-        }
         MsgType::SummaryDigest => {
             let round = rd.u64()?;
             let segment = rd.segment()?;
@@ -615,16 +516,6 @@ pub fn decode_frame(bytes: &[u8], keys: &KeyStore) -> Result<Frame, CodecError> 
         seq,
         msg,
     })
-}
-
-fn read_interval(rd: &mut WireReader<'_>) -> Result<Interval, CodecError> {
-    let start = rd.time()?;
-    let end = rd.time()?;
-    if end < start {
-        // Interval::new panics on a backwards interval; reject instead.
-        return Err(CodecError::Invalid);
-    }
-    Ok(Interval::new(start, end))
 }
 
 #[cfg(test)]
@@ -807,47 +698,6 @@ mod tests {
         let bytes = encode_frame(&f, &ks).unwrap();
         assert_eq!(peek_type(&bytes), Some(MsgType::SummaryPull));
         assert_eq!(decode_frame(&bytes, &ks).unwrap(), f);
-    }
-
-    #[test]
-    fn alert_inner_signature_is_attributable() {
-        let ks = keystore();
-        let seg = PathSegment::new(vec![
-            RouterId::from(1),
-            RouterId::from(2),
-            RouterId::from(3),
-        ]);
-        let iv = Interval::new(SimTime::ZERO, SimTime::from_secs(1));
-        let origin = RouterId::from(1);
-        let sig = sign_alert(&ks, origin, &seg, iv);
-        assert!(verify_alert(&ks, origin, &seg, iv, &sig));
-        // Not attributable to anyone else, and tamper-evident.
-        assert!(!verify_alert(&ks, RouterId::from(2), &seg, iv, &sig));
-        let other = PathSegment::new(vec![RouterId::from(1), RouterId::from(4)]);
-        assert!(!verify_alert(&ks, origin, &other, iv, &sig));
-
-        // And it survives the frame round trip.
-        let f = Frame {
-            src: RouterId::from(1),
-            dst: RouterId::from(3),
-            seq: 9,
-            msg: WireMessage::Alert {
-                origin,
-                segment: seg.clone(),
-                interval: iv,
-                sig,
-            },
-        };
-        let bytes = encode_frame(&f, &ks).unwrap();
-        match decode_frame(&bytes, &ks).unwrap().msg {
-            WireMessage::Alert {
-                origin: o,
-                segment: s,
-                interval,
-                sig,
-            } => assert!(verify_alert(&ks, o, &s, interval, &sig)),
-            other => panic!("wrong message: {other:?}"),
-        }
     }
 
     #[test]

@@ -3,12 +3,12 @@
 //! The simulator crates exercise Protocols Π2/Πk+2 and the Fatih system
 //! against a discrete-event network. This crate runs the *same protocol
 //! machinery* — segment monitors, maturity-windowed traffic validation,
-//! timeout-as-accusation, signed alerts — over real byte streams and real
-//! wall-clock time:
+//! timeout-as-accusation, signed exclusion floods — over real byte streams
+//! and real wall-clock time:
 //!
 //! * [`codec`] — the binary wire format: length-prefixed, version-byte
 //!   framed, field-tagged messages with an HMAC-SHA256 trailer on every
-//!   control frame (summaries, acks, alerts, accusations);
+//!   control frame (summaries, digests, pulls, acks, link-state updates);
 //! * [`transport`] — the [`Transport`] abstraction with an in-memory
 //!   loopback implementation ([`LoopbackHub`]), a real UDP-over-localhost
 //!   implementation ([`UdpNet`]), and a loss/duplication-injecting chaos

@@ -33,11 +33,12 @@
 //! a clock — and the maturity lag plays the role of the §5.3.1 skew/transit
 //! tolerance.
 
-use crate::codec::{decode_frame, encode_frame, sign_alert, verify_alert, Frame, WireMessage};
+use crate::codec::{decode_frame, encode_frame, Frame, WireMessage};
 use crate::linkstate::{sign_link_state, verify_link_state, LinkStateUpdate, TopoUpdate};
 use crate::timer::TimerWheel;
 use crate::transport::Transport;
 use fatih_core::monitor::{MonitorMode, PathOracle, SegmentMonitorSet};
+use fatih_core::pik2;
 use fatih_core::policy::{tv_pair, PairVerdict, Policy, Thresholds};
 use fatih_core::probation::ProbationTracker;
 use fatih_core::spec::{Interval, Suspicion};
@@ -48,9 +49,7 @@ use fatih_obs::{
     Counter, Histogram, MetricsRegistry, MetricsSnapshot, TraceBuffer, TraceJournal, TraceKind,
 };
 use fatih_sim::{FlowId, Packet, PacketId, PacketKind, SimTime, TapEvent};
-use fatih_topology::{
-    pik2_segments_from_paths, DynamicTopology, Path, PathSegment, RouterId, Routes, Topology,
-};
+use fatih_topology::{DynamicTopology, Path, PathSegment, RouterId, Routes, Topology};
 use fatih_validation::digest::{apply_diff, diff_via_digest, ContentDigest};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -244,26 +243,6 @@ pub enum LiveEvent {
         /// Round it was raised in.
         round: u64,
     },
-    /// A signed alert arrived and was signature-checked.
-    AlertReceived {
-        /// Receiving router.
-        by: RouterId,
-        /// Claimed origin.
-        origin: RouterId,
-        /// Suspected segment.
-        segment: PathSegment,
-        /// Whether the origin signature verified.
-        sig_ok: bool,
-    },
-    /// A timeout accusation arrived.
-    AccusationReceived {
-        /// Receiving router.
-        by: RouterId,
-        /// Accusing router.
-        from: RouterId,
-        /// Accused segment.
-        segment: PathSegment,
-    },
     /// An expected summary never arrived by the evaluation deadline.
     SummaryTimeout {
         /// The end that timed out waiting.
@@ -272,27 +251,6 @@ pub enum LiveEvent {
         segment: PathSegment,
         /// The round.
         round: u64,
-    },
-    /// Reliable delivery gave up on a control frame.
-    DeliveryExhausted {
-        /// Sending router.
-        by: RouterId,
-        /// Unresponsive destination.
-        dst: RouterId,
-        /// Attempts made.
-        attempts: u32,
-    },
-    /// A router applied a (signature-verified, fresh) link-state update
-    /// and reconverged its routes.
-    LinkStateApplied {
-        /// The router that applied the update.
-        by: RouterId,
-        /// The update's origin.
-        origin: RouterId,
-        /// The origin's per-router update sequence number.
-        update_seq: u64,
-        /// The applier's route epoch after rebuilding.
-        epoch: u64,
     },
     /// A restarted router finished probation and regained transit duty.
     /// Emitted once, by the cleared router itself.
@@ -314,7 +272,7 @@ pub struct LiveStats {
     /// Data packets silently dropped by compromised routers.
     pub data_dropped: u64,
     /// Encoded bytes of control frames (summaries, digests, pulls, acks,
-    /// alerts, accusations), including retransmissions.
+    /// link-state updates), including retransmissions.
     pub control_bytes_sent: u64,
     /// Reconciliation-mode digest exchanges decoded without a full
     /// transfer.
@@ -366,7 +324,6 @@ net_metrics! {
         digests_resolved,
         digest_fallbacks,
         accusations_raised,
-        alerts_sent,
         summary_timeouts,
         epoch_transitions,
         ls_updates_sent,
@@ -524,22 +481,19 @@ impl LiveDeployment {
                 .collect::<Vec<_>>(),
         );
         // Monitored segments: all ≤(k+2)-windows of the monitored paths.
-        let seg_paths: Vec<Path> = monitor_pairs
-            .iter()
-            .filter_map(|p| paths0.get(p).cloned())
-            .collect();
-        let segments: Arc<Vec<PathSegment>> = Arc::new(
-            pik2_segments_from_paths(seg_paths.clone(), topo.router_count(), cfg.k)
-                .all_segments()
-                .into_iter()
+        // The one shared path oracle also covers the flows' own paths:
+        // every packet that can exist resolves identically to a full
+        // all-pairs oracle, at a fraction of the per-router memory.
+        let (segments, oracle) = pik2::deployment(
+            monitor_pairs
+                .iter()
+                .filter_map(|p| paths0.get(p).cloned())
                 .collect(),
+            flow_pairs.iter().filter_map(|p| paths0.get(p).cloned()),
+            topo.router_count(),
+            cfg.k,
         );
-        // One shared path oracle over the monitored paths plus the flows'
-        // own paths: every packet that can exist resolves identically to a
-        // full all-pairs oracle, at a fraction of the per-router memory.
-        let mut oracle_paths = seg_paths;
-        oracle_paths.extend(flow_pairs.iter().filter_map(|p| paths0.get(p).cloned()));
-        let oracle = PathOracle::from_paths(oracle_paths);
+        let segments = Arc::new(segments);
 
         let n_shards = if cfg.shards == 0 {
             std::thread::available_parallelism()
@@ -594,7 +548,7 @@ impl LiveDeployment {
         // deadline so callers can diff neighbouring snapshots into
         // per-round costs, then let every round finish: final evaluation
         // fires at rounds·τ + budget after the epoch; leave slack for
-        // the last alerts to cross the wire.
+        // the last link-state floods to cross the wire.
         let mut round_metrics = Vec::with_capacity(cfg.rounds as usize);
         for r in 0..cfg.rounds {
             let at =
@@ -741,7 +695,6 @@ impl<T: Transport> Shard<T> {
         }
         let pump_step = (RetryPolicy::default().rto.as_nanos() as u64 / 2).max(1_000_000);
         self.wheel.schedule(pump_step, ShardTimer::Pump);
-        let single = self.nodes.len() == 1;
         self.trace
             .record(self.now_ns(), TraceKind::RoundStart, NO_ROUTER, 0, 0);
 
@@ -782,13 +735,13 @@ impl<T: Transport> Shard<T> {
                     }
                     ShardTimer::Pump => {
                         for n in &mut self.nodes {
-                            n.pump(events, &mut self.trace);
+                            n.pump(&mut self.trace);
                         }
                         self.wheel
                             .schedule(self.now_ns() + pump_step, ShardTimer::Pump);
                     }
                     ShardTimer::Churn { node, step } => {
-                        self.nodes[node].churn_step(step, events, &mut self.trace);
+                        self.nodes[node].churn_step(step, &mut self.trace);
                     }
                 }
             }
@@ -805,7 +758,7 @@ impl<T: Transport> Shard<T> {
                 for _ in 0..RECV_SWEEP {
                     match self.nodes[ni].transport.try_recv() {
                         Ok(Some(bytes)) => {
-                            self.nodes[ni].handle_frame(&bytes, events, &mut self.trace);
+                            self.nodes[ni].handle_frame(&bytes, &mut self.trace);
                             handled += 1;
                         }
                         Ok(None) => {
@@ -828,22 +781,7 @@ impl<T: Transport> Shard<T> {
                     .map(|d| d.saturating_sub(self.now_ns()))
                     .unwrap_or(2_000_000)
                     .clamp(1, 2_000_000);
-                if single {
-                    // A one-router shard can afford the old blocking
-                    // receive: lowest latency, no polling.
-                    match self.nodes[0]
-                        .transport
-                        .recv_timeout(Duration::from_nanos(wait))
-                    {
-                        Ok(Some(bytes)) => {
-                            self.nodes[0].handle_frame(&bytes, events, &mut self.trace)
-                        }
-                        Ok(None) => {}
-                        Err(_) => self.nodes[0].open = false,
-                    }
-                } else {
-                    std::thread::sleep(Duration::from_nanos(wait.min(500_000)));
-                }
+                std::thread::sleep(Duration::from_nanos(wait.min(500_000)));
             }
             if self.nodes.iter().all(|n| !n.open) {
                 break; // every transport closed under us
@@ -908,8 +846,8 @@ struct Node<T: Transport> {
     drop_from: u64,
     rng: StdRng,
     digest_rng: StdRng,
-    /// Reliable delivery of summaries and alerts: tracked frames are the
-    /// sealed bytes, retransmitted verbatim.
+    /// Reliable delivery of summaries and link-state updates: tracked
+    /// frames are the sealed bytes, retransmitted verbatim.
     reliable: RetryMachine<Vec<u8>>,
     peer_summaries: HashMap<(u64, usize), fatih_core::monitor::Report>,
     /// Verdicts already decoded from digest exchanges: (round, segment) →
@@ -1100,7 +1038,7 @@ impl<T: Transport> Node<T> {
             .add(self.transport.bytes_recv());
     }
 
-    fn pump(&mut self, events: &mpsc::Sender<LiveEvent>, trace: &mut TraceBuffer) {
+    fn pump(&mut self, trace: &mut TraceBuffer) {
         if !self.alive {
             return;
         }
@@ -1128,11 +1066,6 @@ impl<T: Transport> Node<T> {
                 NO_ROUND,
                 u64::from(u32::from(ex.dst)),
             );
-            let _ = events.send(LiveEvent::DeliveryExhausted {
-                by: self.id,
-                dst: ex.dst,
-                attempts: ex.attempts,
-            });
             // Organic crash detection: a peer that exhausts reliable
             // delivery is reported down (once), so the fabric reroutes
             // around it without waiting for an operator.
@@ -1140,7 +1073,7 @@ impl<T: Transport> Node<T> {
                 && !self.dyn_topo.is_router_down(ex.dst)
                 && self.reported_down.insert(ex.dst)
             {
-                self.originate_ls(TopoUpdate::RouterDown(ex.dst), events, trace);
+                self.originate_ls(TopoUpdate::RouterDown(ex.dst), trace);
             }
         }
     }
@@ -1395,10 +1328,9 @@ impl<T: Transport> Node<T> {
             if passed {
                 continue;
             }
-            let interval = Interval::new(round_start, round_end);
             let suspicion = Suspicion {
                 segment: segment.clone(),
-                interval,
+                interval: Interval::new(round_start, round_end),
                 raised_by: self.id,
             };
             self.metrics.accusations_raised.inc();
@@ -1413,38 +1345,6 @@ impl<T: Transport> Node<T> {
                 suspicion,
                 round: r,
             });
-            if verdict.bottom {
-                // Timeout-as-accusation: the peer (or the path to it)
-                // failed the exchange itself.
-                self.send_frame(
-                    end.peer,
-                    WireMessage::Accusation {
-                        segment: segment.clone(),
-                        interval,
-                    },
-                    false,
-                );
-            } else {
-                let sig = sign_alert(&self.keys, self.id, &segment, interval);
-                self.send_frame(
-                    end.peer,
-                    WireMessage::Alert {
-                        origin: self.id,
-                        segment: segment.clone(),
-                        interval,
-                        sig,
-                    },
-                    true,
-                );
-                self.metrics.alerts_sent.inc();
-                trace.record(
-                    self.now_ns(),
-                    TraceKind::AlertSent,
-                    u32::from(self.id),
-                    r,
-                    u64::from(u32::from(end.peer)),
-                );
-            }
             if self.cfg.response {
                 convictions.push(segment);
             }
@@ -1454,7 +1354,7 @@ impl<T: Transport> Node<T> {
         // reconverge around it and validation resumes on the next clean
         // round boundary.
         for segment in convictions {
-            self.originate_ls(TopoUpdate::ExcludeSegment(segment), events, trace);
+            self.originate_ls(TopoUpdate::ExcludeSegment(segment), trace);
         }
         self.metrics
             .round_eval_ns
@@ -1530,12 +1430,7 @@ impl<T: Transport> Node<T> {
         }
     }
 
-    fn handle_frame(
-        &mut self,
-        bytes: &[u8],
-        events: &mpsc::Sender<LiveEvent>,
-        trace: &mut TraceBuffer,
-    ) {
+    fn handle_frame(&mut self, bytes: &[u8], trace: &mut TraceBuffer) {
         if !self.alive {
             return; // crashed/departed: frames fall on the floor
         }
@@ -1631,37 +1526,11 @@ impl<T: Transport> Node<T> {
                     }
                 }
             }
-            WireMessage::Alert {
-                origin,
-                segment,
-                interval,
-                sig,
-            } => {
-                self.send_frame(frame.src, WireMessage::Ack { msg_id: frame.seq }, false);
-                if self.reliable.accept(frame.src, frame.seq) {
-                    let sig_ok = verify_alert(&self.keys, origin, &segment, interval, &sig);
-                    let _ = events.send(LiveEvent::AlertReceived {
-                        by: self.id,
-                        origin,
-                        segment,
-                        sig_ok,
-                    });
-                }
-            }
-            WireMessage::Accusation { segment, .. } => {
-                if self.reliable.accept(frame.src, frame.seq) {
-                    let _ = events.send(LiveEvent::AccusationReceived {
-                        by: self.id,
-                        from: frame.src,
-                        segment,
-                    });
-                }
-            }
             WireMessage::LinkState { update, sig } => {
                 self.send_frame(frame.src, WireMessage::Ack { msg_id: frame.seq }, false);
                 if self.reliable.accept(frame.src, frame.seq)
                     && verify_link_state(&self.keys, &update, &sig)
-                    && self.apply_ls(&update, &sig, events, trace)
+                    && self.apply_ls(&update, &sig, trace)
                 {
                     // Freshly applied: re-flood to every up neighbour
                     // except the hop it came from and its origin.
@@ -1738,12 +1607,7 @@ impl<T: Transport> Node<T> {
 
     /// Originates a signed link-state update: applies it locally, then
     /// floods it reliably to every up neighbour.
-    fn originate_ls(
-        &mut self,
-        update: TopoUpdate,
-        events: &mpsc::Sender<LiveEvent>,
-        trace: &mut TraceBuffer,
-    ) {
+    fn originate_ls(&mut self, update: TopoUpdate, trace: &mut TraceBuffer) {
         let ls = LinkStateUpdate {
             origin: self.id,
             update_seq: self.ls_seq,
@@ -1752,7 +1616,7 @@ impl<T: Transport> Node<T> {
         };
         self.ls_seq += 1;
         let sig = sign_link_state(&self.keys, &ls);
-        self.apply_ls(&ls, &sig, events, trace);
+        self.apply_ls(&ls, &sig, trace);
         self.flood_ls(&ls, &sig, None);
     }
 
@@ -1785,13 +1649,7 @@ impl<T: Transport> Node<T> {
     /// window from the origin timestamp, and rebuilds routes, segments
     /// and monitors. Returns whether the update was fresh (and should be
     /// re-flooded).
-    fn apply_ls(
-        &mut self,
-        ls: &LinkStateUpdate,
-        sig: &Signature,
-        events: &mpsc::Sender<LiveEvent>,
-        trace: &mut TraceBuffer,
-    ) -> bool {
+    fn apply_ls(&mut self, ls: &LinkStateUpdate, sig: &Signature, trace: &mut TraceBuffer) -> bool {
         if !self.applied_keys.insert((ls.origin, ls.update_seq)) {
             return false;
         }
@@ -1885,12 +1743,6 @@ impl<T: Transport> Node<T> {
             origin_round,
             u64::from(u32::from(ls.origin)),
         );
-        let _ = events.send(LiveEvent::LinkStateApplied {
-            by: self.id,
-            origin: ls.origin,
-            update_seq: ls.update_seq,
-            epoch: self.route_epoch,
-        });
         true
     }
 
@@ -1987,24 +1839,18 @@ impl<T: Transport> Node<T> {
             .copied()
             .collect();
         self.paths = self.dyn_topo.paths_for(pairs);
-        let seg_paths: Vec<Path> = self
-            .monitor_pairs
-            .iter()
-            .filter_map(|p| self.paths.get(p).cloned())
-            .collect();
-        let router_count = self.dyn_topo.base().router_count();
-        let segments: Vec<PathSegment> =
-            pik2_segments_from_paths(seg_paths.clone(), router_count, self.cfg.k)
-                .all_segments()
-                .into_iter()
-                .collect();
-        let mut oracle_paths = seg_paths;
-        oracle_paths.extend(
-            self.flow_pairs
+        let routed = |pairs: &[(RouterId, RouterId)]| -> Vec<Path> {
+            pairs
                 .iter()
-                .filter_map(|p| self.paths.get(p).cloned()),
+                .filter_map(|p| self.paths.get(p).cloned())
+                .collect()
+        };
+        let (segments, oracle) = pik2::deployment(
+            routed(&self.monitor_pairs),
+            routed(&self.flow_pairs),
+            self.dyn_topo.base().router_count(),
+            self.cfg.k,
         );
-        let oracle = PathOracle::from_paths(oracle_paths);
         self.monitors = self.monitors.retarget(
             segments.clone(),
             oracle,
@@ -2035,12 +1881,7 @@ impl<T: Transport> Node<T> {
 
     /// Performs step `step` of this node's churn script. Runs even while
     /// the node is dead — a restart has to.
-    fn churn_step(
-        &mut self,
-        step: usize,
-        events: &mpsc::Sender<LiveEvent>,
-        trace: &mut TraceBuffer,
-    ) {
+    fn churn_step(&mut self, step: usize, trace: &mut TraceBuffer) {
         let ev = self.churn[step];
         trace.record(
             self.now_ns(),
@@ -2051,13 +1892,13 @@ impl<T: Transport> Node<T> {
         );
         match ev.action {
             ChurnAction::LinkDown(peer) => {
-                self.originate_ls(TopoUpdate::LinkDown(self.id, peer), events, trace);
+                self.originate_ls(TopoUpdate::LinkDown(self.id, peer), trace);
             }
             ChurnAction::LinkUp(peer) => {
-                self.originate_ls(TopoUpdate::LinkUp(self.id, peer), events, trace);
+                self.originate_ls(TopoUpdate::LinkUp(self.id, peer), trace);
             }
             ChurnAction::Leave => {
-                self.originate_ls(TopoUpdate::RouterDown(self.id), events, trace);
+                self.originate_ls(TopoUpdate::RouterDown(self.id), trace);
                 self.alive = false;
             }
             ChurnAction::Join => {
@@ -2067,7 +1908,6 @@ impl<T: Transport> Node<T> {
                         router: self.id,
                         incarnation: self.incarnation,
                     },
-                    events,
                     trace,
                 );
             }
@@ -2101,13 +1941,12 @@ impl<T: Transport> Node<T> {
                         router: self.id,
                         incarnation: self.incarnation,
                     },
-                    events,
                     trace,
                 );
             }
             ChurnAction::ReportDown(r) => {
                 if self.reported_down.insert(r) {
-                    self.originate_ls(TopoUpdate::RouterDown(r), events, trace);
+                    self.originate_ls(TopoUpdate::RouterDown(r), trace);
                 }
             }
         }
@@ -2560,7 +2399,6 @@ mod tests {
             &[],
             NetMetrics::registered(&registry),
         );
-        let (events, _rx) = mpsc::channel();
         let mut trace = TraceBuffer::new(0, 64);
         let ack_from = |src: RouterId| {
             let msg = WireMessage::Ack { msg_id: 0 };
@@ -2576,14 +2414,14 @@ mod tests {
 
         let segment = PathSegment::new(ids.clone());
         node.send_frame(b, WireMessage::SummaryPull { round: 0, segment }, true);
-        node.handle_frame(&ack_from(c), &events, &mut trace);
+        node.handle_frame(&ack_from(c), &mut trace);
         node.epoch -= Duration::from_secs(1); // the retry deadline has passed
-        node.pump(&events, &mut trace);
+        node.pump(&mut trace);
         assert_eq!(retransmits(), 1, "a third router's ack cancelled the frame");
 
-        node.handle_frame(&ack_from(b), &events, &mut trace);
+        node.handle_frame(&ack_from(b), &mut trace);
         node.epoch -= Duration::from_secs(1);
-        node.pump(&events, &mut trace);
+        node.pump(&mut trace);
         assert_eq!(retransmits(), 1, "the destination's ack must cancel it");
     }
 }

@@ -1,11 +1,11 @@
 //! A deadline-driven hashed timer wheel.
 //!
-//! The per-router event loop multiplexes many timers — flow ticks, round
-//! boundaries, evaluation deadlines, retransmit pumps — over one blocking
-//! receive. The wheel hashes each deadline into a ring of slots of fixed
-//! granularity; deadlines beyond the ring's horizon wait in an overflow
-//! map until the ring wraps around to them. Firing is exact: an entry
-//! never fires before its deadline, however it is stored.
+//! Each shard's event loop multiplexes many timers — flow ticks, round
+//! boundaries, evaluation deadlines, retransmit pumps — over one polling
+//! sweep of its routers' transports. The wheel hashes each deadline into a
+//! ring of slots of fixed granularity; deadlines beyond the ring's horizon
+//! wait in an overflow map until the ring wraps around to them. Firing is
+//! exact: an entry never fires before its deadline, however it is stored.
 //!
 //! Deadlines are `u64` nanoseconds on whatever monotonic axis the caller
 //! uses (the runtime uses nanoseconds since its shared epoch).

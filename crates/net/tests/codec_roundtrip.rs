@@ -8,9 +8,9 @@
 //!    panic and never a silently-wrong frame.
 
 use fatih_core::monitor::{Report, ReportEntry};
-use fatih_core::spec::Interval;
 use fatih_crypto::{Fingerprint, KeyStore};
-use fatih_net::codec::{decode_frame, encode_frame, sign_alert, Frame, WireMessage};
+use fatih_net::codec::{decode_frame, encode_frame, Frame, WireMessage};
+use fatih_net::linkstate::{sign_link_state, LinkStateUpdate, TopoUpdate};
 use fatih_sim::{FlowId, Packet, PacketId, PacketKind, SimTime};
 use fatih_topology::{PathSegment, RouterId};
 use rand::rngs::StdRng;
@@ -74,19 +74,16 @@ fn random_report(rng: &mut StdRng) -> Report {
     }
 }
 
-fn random_interval(rng: &mut StdRng) -> Interval {
-    let start = rng.gen_range(0..1u64 << 40);
-    let end = start + rng.gen_range(0..1u64 << 30);
-    Interval::new(SimTime::from_ns(start), SimTime::from_ns(end))
-}
-
 /// One random frame of every message type.
 fn sample_frames(ks: &KeyStore, seed: u64) -> Vec<Frame> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let seg = random_segment(&mut rng);
-    let iv = random_interval(&mut rng);
-    let origin = rid(rng.gen_range(0..8));
-    let sig = sign_alert(ks, origin, &seg, iv);
+    let update = LinkStateUpdate {
+        origin: rid(rng.gen_range(0..8)),
+        update_seq: rng.gen::<u64>(),
+        t_origin_ns: rng.gen::<u64>(),
+        update: TopoUpdate::ExcludeSegment(random_segment(&mut rng)),
+    };
+    let sig = sign_link_state(ks, &update);
     vec![
         Frame {
             src: rid(0),
@@ -119,21 +116,16 @@ fn sample_frames(ks: &KeyStore, seed: u64) -> Vec<Frame> {
             src: rid(6),
             dst: rid(7),
             seq: rng.gen::<u64>(),
-            msg: WireMessage::Alert {
-                origin,
-                segment: seg.clone(),
-                interval: iv,
-                sig,
+            msg: WireMessage::SummaryPull {
+                round: rng.gen::<u64>(),
+                segment: random_segment(&mut rng),
             },
         },
         Frame {
             src: rid(1),
             dst: rid(6),
             seq: rng.gen::<u64>(),
-            msg: WireMessage::Accusation {
-                segment: seg,
-                interval: iv,
-            },
+            msg: WireMessage::LinkState { update, sig },
         },
     ]
 }

@@ -76,7 +76,6 @@ trace_kinds! {
     DigestFallback => "digest_fallback",
     SummaryTimeout => "summary_timeout",
     AccusationRaised => "accusation_raised",
-    AlertSent => "alert_sent",
     TimerFired => "timer_fired",
     Retransmit => "retransmit",
     DeliveryExhausted => "delivery_exhausted",

@@ -74,4 +74,5 @@ fn main() {
         .iter()
         .all(|seg| seg.contains(ids[3]));
     println!("attacker flagged: {caught} — no correct router accused: {clean}");
+    assert!(caught && clean, "control-plane faults broke detection");
 }

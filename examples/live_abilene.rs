@@ -91,16 +91,6 @@ fn main() {
                     name(*by)
                 );
             }
-            LiveEvent::AlertReceived {
-                by, origin, sig_ok, ..
-            } => {
-                println!(
-                    "  alert: {} <- {} (signature {})",
-                    name(*by),
-                    name(*origin),
-                    if *sig_ok { "ok" } else { "BAD" }
-                );
-            }
             _ => {}
         }
     }

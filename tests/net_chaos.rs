@@ -1,7 +1,7 @@
 //! Chaos testing of the live runtime over real loopback UDP sockets.
 //!
 //! Every router's transport is wrapped in a seeded chaos shim that drops
-//! and duplicates control frames (summaries, acks, alerts) on the wire.
+//! and duplicates control frames (summaries, acks) on the wire.
 //! The reliable-delivery layer must absorb that — retransmitting until
 //! acked, deduplicating by (source, sequence) — so that across many seeds
 //! the live deployment reaches exactly the verdicts the simulator reaches

@@ -77,7 +77,6 @@ fn trace_journal_agrees_with_metrics_and_exports_round_trip() {
     // the registry counters the same code paths incremented.
     let pairs = [
         ("net.accusations_raised", TraceKind::AccusationRaised),
-        ("net.alerts_sent", TraceKind::AlertSent),
         ("net.summary_timeouts", TraceKind::SummaryTimeout),
         ("net.digests_resolved", TraceKind::DigestResolved),
         ("net.digest_fallbacks", TraceKind::DigestFallback),
